@@ -248,8 +248,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_trace_fault(args) -> int:
-    from .obs.tracing import (trace_fault, trace_fault_arch,
-                              trace_fault_soft)
+    from .obs.tracing import trace_run
 
     if args.diff:
         from .obs.dashboard import resolve_color_mode
@@ -268,18 +267,10 @@ def _cmd_trace_fault(args) -> int:
             print("\n(served from the trace sidecar — no "
                   "re-simulation)", file=sys.stderr)
         return 0
-    if args.injector == "gefin":
-        trace, result = trace_fault(
-            args.workload, args.config, args.structure, args.seed,
-            index=args.index, hardened=args.hardened)
-    elif args.injector == "pvf":
-        trace, result = trace_fault_arch(
-            args.workload, args.config, args.model, args.seed,
-            index=args.index, hardened=args.hardened)
-    else:
-        trace, result = trace_fault_soft(
-            args.workload, args.config, args.seed,
-            index=args.index, hardened=args.hardened)
+    trace, _result = trace_run(
+        args.injector, args.workload, args.config, args.seed,
+        index=args.index, structure=args.structure, model=args.model,
+        hardened=args.hardened)
     print(trace.render())
     if args.window:
         print()

@@ -51,14 +51,12 @@ the naive campaign's 99% Wilson interval.
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from ..faults.fault import fault_site_bit, sample_uniform
+from ..faults.fault import fault_site_bit
 from ..faults.sampling import wilson_interval
-from ..injectors.gefin import InjectionResult
 from ..obs import EventLog
 from ..obs.metrics import get_registry
 from ..uarch.config import MicroarchConfig, config_by_name
@@ -248,46 +246,35 @@ def partition_classes(workload: str, config: "MicroarchConfig | str",
 
 
 def enumerate_stream(workload: str, config: MicroarchConfig,
-                     structure: str, seed: int, n: int, t_max: float,
+                     structure: str, seed: int, n: int, golden,
                      prefer_live: bool = True,
                      n_phases: int = PLAN_PHASES,
                      n_regions: int = PLAN_REGIONS) -> list:
     """Classify the naive campaign's ``n``-draw site stream by class.
 
-    Replays the exact per-index RNG stream of the naive gefin worker
-    (``(seed, "gefin", workload, config, structure, index)``) without
-    running any simulation, and returns one list of naive draw
-    indices per ``phase * n_regions + region`` class — the finite
-    fault population the planner subsamples.  Injecting a planned
-    draw therefore reproduces the naive campaign's result at that
-    index bit-for-bit (common random numbers), which is what makes
-    the two-level estimate converge to the naive estimate at full
-    budget.
+    Replays the naive gefin campaign's per-index draws
+    (:func:`~repro.injectors.campaign.draw_fault`) without running any
+    simulation, and returns one list of naive draw indices per
+    ``phase * n_regions + region`` class — the finite fault
+    population the planner subsamples.  Injecting a planned draw
+    therefore reproduces the naive campaign's result at that index
+    bit-for-bit (common random numbers), which is what makes the
+    two-level estimate converge to the naive estimate at full budget.
     """
+    from ..injectors.campaign import draw_fault
+
+    t_max = golden.cycles
     width = _entry_width(config, structure)
     members = [[] for _ in range(n_phases * n_regions)]
     for index in range(n):
-        rng = random.Random(repr((seed, "gefin", workload,
-                                  config.name, structure, index)))
-        spec = sample_uniform(config, structure, t_max, rng,
-                              prefer_live=prefer_live)
+        spec = draw_fault("gefin", workload, config.name, structure,
+                          seed, index, golden, prefer_live)
         phase = (min(int(spec.cycle / t_max * n_phases), n_phases - 1)
                  if t_max > 0 else 0)
         bit = fault_site_bit(config, spec)
         region = min(bit * n_regions // max(1, width), n_regions - 1)
         members[phase * n_regions + region].append(index)
     return members
-
-
-def _one_planned_arch(args: tuple) -> InjectionResult:
-    """pvf/svf draws reuse the naive per-index workers, so a planned
-    architectural campaign is byte-for-byte a prefix of the naive one."""
-    from ..injectors import campaign as campaign_mod
-
-    injector, task = args[0], args[1:]
-    worker = {"pvf": campaign_mod._one_pvf,
-              "svf": campaign_mod._one_svf}[injector]
-    return worker(task)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +436,11 @@ def run_planned_campaign(workload: str,
     from ..injectors.campaign import CampaignResult, default_workers
     from ..injectors.engine import atomic_write_text, run_sharded
     from ..injectors.golden import (cache_dir, config_digest,
-                                    golden_run, workload_digest)
+                                    workload_digest)
     from ..uarch.snapshot import fastpath_enabled
 
-    if injector not in campaign_mod.INJECTORS:
-        raise ValueError(f"unknown injector {injector!r}")
     config_name = config if isinstance(config, str) else config.name
+    campaign_mod.check_injector(injector, config_name)
     cfg = config_by_name(config_name)
     use_fastpath = fastpath_enabled(fastpath)
 
@@ -476,14 +462,8 @@ def run_planned_campaign(workload: str,
             campaign_mod._write_profile_sidecar(cached, path)
             return cached
 
-    golden = golden_run(workload, config_name, hardened=hardened)
-    if use_fastpath:
-        golden_mod.checkpoint_store(
-            workload, config_name,
-            engine=("pipeline" if injector == "gefin"
-                    else "functional-sim" if injector == "pvf"
-                    else "functional-host"),
-            hardened=hardened)
+    golden = campaign_mod.prepare_golden(injector, workload, config_name,
+                                         hardened, use_fastpath)
 
     classes = partition_classes(workload, cfg, structure=structure,
                                 injector=injector, hardened=hardened,
@@ -492,7 +472,7 @@ def run_planned_campaign(workload: str,
                                 n_regions=n_regions)
     if injector == "gefin":
         members = enumerate_stream(workload, cfg, structure, seed, n,
-                                   golden.cycles,
+                                   golden,
                                    prefer_live=prefer_live,
                                    n_phases=n_phases,
                                    n_regions=n_regions)
@@ -528,32 +508,18 @@ def run_planned_campaign(workload: str,
         alloc = _allocate(next_batch, weights, trials, caps)
         if sum(alloc) <= 0:
             break
-        tasks = []
-        owners = []
-        for i, cls in enumerate(classes):
-            for k in range(alloc[i]):
-                index = members[i][trials[i] + k]
-                if injector == "gefin":
-                    tasks.append((workload, config_name, structure,
-                                  seed, index, hardened, prefer_live,
-                                  use_fastpath))
-                elif injector == "pvf":
-                    tasks.append(("pvf", workload, config_name, model,
-                                  seed, index, hardened,
-                                  use_fastpath))
-                else:
-                    tasks.append(("svf", workload, config_name, seed,
-                                  index, hardened, use_fastpath))
-                owners.append(i)
-        worker = (campaign_mod._one_gefin if injector == "gefin"
-                  else _one_planned_arch)
+        picks = [(i, members[i][trials[i] + k])
+                 for i in range(len(classes)) for k in range(alloc[i])]
+        tasks = [(injector, workload, config_name, target, seed, index,
+                  hardened, prefer_live, use_fastpath)
+                 for _, index in picks]
         batch_results = run_sharded(
-            worker, tasks, workers=n_workers, checkpoint_dir=None,
-            encode=asdict,
-            decode=lambda entry: InjectionResult(**entry),
+            campaign_mod.run_task, tasks, workers=n_workers,
+            checkpoint_dir=None, encode=asdict,
+            decode=campaign_mod._decode_one,
             events=events, label=f"{path.stem}-b{len(batches)}",
             repro_dir=cache_dir() / "repros")
-        for owner, result in zip(owners, batch_results):
+        for (owner, _), result in zip(picks, batch_results):
             trials[owner] += 1
             if result.vulnerable:
                 hits[owner] += 1

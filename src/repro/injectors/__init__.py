@@ -7,8 +7,8 @@
 * :mod:`~repro.injectors.engine` — sharded resumable execution.
 """
 
-from .archinj import PVF_MODELS, run_pvf_campaign
-from .campaign import INJECTORS, CampaignResult, run_campaign
+from .archinj import PVF_MODELS
+from .campaign import INJECTORS, CampaignResult, draw_fault, run_campaign
 from .engine import (
     Shard,
     ShardFailure,
@@ -16,9 +16,8 @@ from .engine import (
     plan_shards,
     run_sharded,
 )
-from .gefin import InjectionResult, run_gefin_campaign, run_one_injection
+from .gefin import InjectionResult, run_one_injection
 from .golden import GoldenRun, cache_dir, golden_run
-from .llfi import run_svf_campaign
 
 __all__ = [
     "CampaignResult",
@@ -30,12 +29,10 @@ __all__ = [
     "ShardFailure",
     "atomic_write_text",
     "cache_dir",
+    "draw_fault",
     "golden_run",
     "plan_shards",
     "run_campaign",
-    "run_gefin_campaign",
     "run_one_injection",
-    "run_pvf_campaign",
     "run_sharded",
-    "run_svf_campaign",
 ]

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import random
 
-from ..faults.outcomes import Outcome, Verdict, classify
-from ..isa.registers import register_set
+from ..faults.outcomes import Verdict, classify
 from ..kernel.loader import build_system_image
 from ..uarch.exceptions import ContainmentError
 from ..uarch.functional import FaultAction, FunctionalEngine
 from ..workloads.suite import load_workload
 from .gefin import InjectionResult
-from .golden import GoldenRun, golden_run
+from .golden import GoldenRun
 
 PVF_MODELS = ("WD", "WOI", "WI")
 
@@ -130,25 +129,46 @@ def build_pvf_action(model: str, rng: random.Random, golden: GoldenRun,
     raise ValueError(f"unknown PVF model {model!r}; have {PVF_MODELS}")
 
 
+#: per functional injector: the kernel its engine runs (``sim`` is
+#: the full architectural machine, ``host`` emulates syscalls the way
+#: LLFI runs on real hardware) and the origin an action without one
+#: reports
+FUNCTIONAL = {"pvf": ("sim", "architectural state"),
+              "svf": ("host", "destination register")}
+
+
 def run_one_pvf(workload: str, isa: str, action: FaultAction,
                 golden: GoldenRun,
                 hardened: bool = False, tracer=None,
                 fastpath: "bool | None" = None,
                 arch_probe=None) -> InjectionResult:
+    return run_functional("pvf", workload, isa, action, golden,
+                          hardened=hardened, tracer=tracer,
+                          fastpath=fastpath, arch_probe=arch_probe)
+
+
+def run_functional(injector: str, workload: str, isa: str,
+                   action: FaultAction, golden: GoldenRun,
+                   hardened: bool = False, tracer=None,
+                   fastpath: "bool | None" = None,
+                   arch_probe=None) -> InjectionResult:
+    """One pvf or svf run: build the image, attach the probe, schedule
+    the action, pick the fast path, run, then classify."""
     from ..uarch import snapshot
     from .golden import checkpoint_store
 
+    kernel, default_origin = FUNCTIONAL[injector]
+    origin = getattr(action, "origin", default_origin)
     program = load_workload(workload, isa, hardened=hardened)
     image = build_system_image(program)
-    engine = FunctionalEngine(image, kernel="sim",
+    engine = FunctionalEngine(image, kernel=kernel,
                               max_instructions=golden.max_instructions)
     engine.arch_probe = arch_probe
     engine.schedule(action)
     if tracer is not None:
-        origin = getattr(action, "origin", "architectural state")
         tracer.injected(float(action.when), origin)
-        # PVF faults are architecturally visible from birth: landing
-        # and crossing coincide, with zero latent hardware phase
+        # functional faults are architecturally visible from birth:
+        # landing and crossing coincide, with zero latent hardware phase
         tracer.crossed(float(action.when),
                        f"visible at birth via {origin}")
     use_fastpath = (tracer is None and arch_probe is None
@@ -156,27 +176,28 @@ def run_one_pvf(workload: str, isa: str, action: FaultAction,
     try:
         if use_fastpath:
             store = checkpoint_store(workload, golden.config_name,
-                                     engine="functional-sim",
+                                     engine=f"functional-{kernel}",
                                      hardened=hardened)
             snapshot.prepare_functional_fastpath(engine, store)
         result = engine.run()
     except ContainmentError as exc:
         raise exc.with_context(
-            injector="pvf", workload=workload, isa=isa,
-            origin=getattr(action, "origin", "architectural state"),
-            inject_cycle=float(action.when), hardened=hardened,
-            fastpath=use_fastpath)
-    return pvf_result(result, golden, action)
+            injector=injector, workload=workload, isa=isa,
+            origin=origin, inject_cycle=float(action.when),
+            hardened=hardened, fastpath=use_fastpath)
+    return functional_result(injector, result, golden, action)
 
 
-def pvf_result(result, golden: GoldenRun, action: FaultAction) \
-        -> InjectionResult:
-    """Classify a finished PVF run (shared by scalar and batched paths)."""
+def functional_result(injector: str, result, golden: GoldenRun,
+                      action: FaultAction) -> InjectionResult:
+    """Classify a finished pvf/svf run (scalar and batched paths)."""
     verdict: Verdict = classify(
         result.status.value, result.output, result.exit_code,
         golden.output, golden.exit_code,
         fault_kind=result.fault_kind,
-        fault_in_kernel=result.fault_in_kernel,
+        # the SVF view has no kernel
+        fault_in_kernel=(result.fault_in_kernel if injector == "pvf"
+                         else False),
     )
     return InjectionResult(
         outcome=verdict.outcome.value,
@@ -184,28 +205,8 @@ def pvf_result(result, golden: GoldenRun, action: FaultAction) \
                     if verdict.crash_kind else None),
         fault_applied=True,
         fault_live=True,
-        crossed=True,   # PVF faults start architecturally visible
+        crossed=True,   # functional faults start architecturally visible
         inject_cycle=float(action.when),
         crossing_cycle=float(action.when),
         site_bit=getattr(action, "site_bit", None),
     )
-
-
-def run_pvf_campaign(workload: str, isa: str, config_name: str,
-                     n: int, seed: int, model: str = "WD",
-                     hardened: bool = False) -> list[InjectionResult]:
-    """Run *n* architecture-level injections with the given FPM model.
-
-    *config_name* selects which golden profile provides the dynamic
-    instruction counts; PVF itself is microarchitecture-independent
-    (the paper verifies this — and so can you, by varying the config).
-    """
-    golden = golden_run(workload, config_name, hardened=hardened)
-    xlen = register_set(isa).xlen
-    rng = random.Random(repr((seed, "pvf", model, workload, isa)))
-    out = []
-    for _ in range(n):
-        action = build_pvf_action(model, rng, golden, xlen)
-        out.append(run_one_pvf(workload, isa, action, golden,
-                               hardened=hardened))
-    return out

@@ -1,18 +1,15 @@
 """Batched campaign execution for the functional injectors.
 
 Bridges :class:`repro.uarch.batch.BatchedFunctionalEngine` into the
-campaign layer: rebuilds the exact per-index fault actions a scalar
-campaign would draw (same RNG recipes as ``campaign._one_pvf`` /
-``_one_svf``), groups them into lane batches sorted by trigger time
-(lanes that fire close together share the same checkpoint restore and
-retire quickly), runs each batch, and finishes evicted lanes on the
-scalar engines so every :class:`InjectionResult` is byte-identical to
-the scalar path.
+campaign layer: takes the exact per-index fault actions a scalar
+campaign draws (:func:`repro.injectors.campaign.draw_fault`), groups
+them into lane batches sorted by trigger time (lanes that fire close
+together share the same checkpoint restore and retire quickly), runs
+each batch, and finishes evicted lanes on the scalar engines so every
+:class:`InjectionResult` is byte-identical to the scalar path.
 """
 
 from __future__ import annotations
-
-import random
 
 from ..kernel.loader import build_system_image
 from ..uarch.batch import MAX_LANES, BatchedFunctionalEngine
@@ -20,34 +17,14 @@ from ..uarch.exceptions import ContainmentError
 from ..uarch.functional import FaultAction, FunctionalEngine
 from ..uarch.snapshot import fastpath_enabled, restore_functional
 from ..workloads.suite import load_workload
-from .archinj import build_pvf_action, pvf_result, run_one_pvf
-from .golden import GoldenRun, checkpoint_store, golden_run
-from .llfi import _dest_flip_action, run_one_svf, svf_result
-
-
-# ---------------------------------------------------------------------------
-# deterministic action rebuilds (the campaign's exact RNG recipes)
-# ---------------------------------------------------------------------------
-def build_campaign_action(injector: str, index: int, *, workload: str,
-                          config_name: str, seed: int, xlen: int,
-                          golden: GoldenRun,
-                          model: "str | None" = None) -> FaultAction:
-    """The fault action campaign run *index* would draw on the scalar
-    path — bit-for-bit, so batched campaigns inherit the cache key."""
-    if injector == "pvf":
-        rng = random.Random(repr((seed, "pvf", model, workload,
-                             config_name, index)))
-        return build_pvf_action(model, rng, golden, xlen)
-    if injector == "svf":
-        rng = random.Random(repr((seed, "svf", workload, config_name,
-                             index)))
-        return _dest_flip_action(rng, golden, xlen)
-    raise ValueError(f"injector {injector!r} has no batched mode")
+from .archinj import FUNCTIONAL, functional_result, run_one_pvf
+from .campaign import draw_fault
+from .golden import GoldenRun, checkpoint_store
+from .llfi import run_one_svf
 
 
 def plan_lane_groups(injector: str, n: int, lanes: int, *, workload: str,
-                     config_name: str, seed: int, xlen: int,
-                     golden: GoldenRun,
+                     config_name: str, seed: int, golden: GoldenRun,
                      model: "str | None" = None) -> list:
     """Partition campaign indices 0..n-1 into lane groups.
 
@@ -57,13 +34,9 @@ def plan_lane_groups(injector: str, n: int, lanes: int, *, workload: str,
     is invisible in the output.
     """
     lanes = max(1, min(int(lanes), MAX_LANES))
-    order = []
-    for index in range(n):
-        action = build_campaign_action(
-            injector, index, workload=workload, config_name=config_name,
-            seed=seed, xlen=xlen, golden=golden, model=model)
-        order.append((action.when, index))
-    order.sort()
+    order = sorted((draw_fault(injector, workload, config_name, model,
+                               seed, index, golden).when, index)
+                   for index in range(n))
     return [tuple(index for _, index in order[k:k + lanes])
             for k in range(0, n, lanes)]
 
@@ -93,14 +66,11 @@ def _run_batch(workload: str, isa: str, kernel: str, actions,
     return outcomes, image, store
 
 
-def _continue_scalar(workload: str, isa: str, kernel: str,
+def _continue_scalar(injector: str, workload: str, isa: str,
                      action: FaultAction, state: dict,
-                     golden: GoldenRun, hardened: bool, injector: str,
-                     image=None):
+                     golden: GoldenRun, hardened: bool, image):
     """Finish an evicted lane from its materialised state."""
-    if image is None:
-        program = load_workload(workload, isa, hardened=hardened)
-        image = build_system_image(program)
+    kernel, default_origin = FUNCTIONAL[injector]
     engine = FunctionalEngine(image, kernel=kernel,
                               max_instructions=golden.max_instructions)
     engine.schedule(action)
@@ -114,96 +84,48 @@ def _continue_scalar(workload: str, isa: str, kernel: str,
     except ContainmentError as exc:
         raise exc.with_context(
             injector=injector, workload=workload, isa=isa,
-            origin=getattr(action, "origin", "architectural state"),
+            origin=getattr(action, "origin", default_origin),
             inject_cycle=float(action.when), hardened=hardened,
             batched=True)
+
+
+def _run_batched(injector: str, workload: str, isa: str, actions,
+                 golden: GoldenRun, hardened: bool,
+                 fastpath: "bool | None") -> list:
+    """Run up to 64 pvf or svf actions in one batch; scalar-equal
+    results."""
+    outcomes, image, _store = _run_batch(workload, isa,
+                                         FUNCTIONAL[injector][0],
+                                         actions, golden, hardened,
+                                         fastpath)
+    results = []
+    for action, outcome in zip(actions, outcomes):
+        if outcome.kind == "result":
+            run = outcome.result
+        elif outcome.kind == "state":
+            run = _continue_scalar(injector, workload, isa, action,
+                                   outcome.state, golden, hardened,
+                                   image)
+        else:  # rerun: reproduce the scalar run wholesale
+            rerun = run_one_pvf if injector == "pvf" else run_one_svf
+            results.append(rerun(workload, isa, action, golden,
+                                 hardened=hardened, fastpath=fastpath))
+            continue
+        results.append(functional_result(injector, run, golden, action))
+    return results
 
 
 def run_batched_pvf(workload: str, isa: str, actions, golden: GoldenRun,
                     hardened: bool = False,
                     fastpath: "bool | None" = None) -> list:
     """Run up to 64 PVF actions in one batch; scalar-equal results."""
-    outcomes, image, _store = _run_batch(workload, isa, "sim",
-                                         actions, golden, hardened,
-                                         fastpath)
-    results = []
-    for action, outcome in zip(actions, outcomes):
-        if outcome.kind == "result":
-            results.append(pvf_result(outcome.result, golden, action))
-        elif outcome.kind == "state":
-            run = _continue_scalar(workload, isa, "sim", action,
-                                   outcome.state, golden, hardened,
-                                   "pvf", image=image)
-            results.append(pvf_result(run, golden, action))
-        else:  # rerun: reproduce the scalar run wholesale
-            results.append(run_one_pvf(workload, isa, action, golden,
-                                       hardened=hardened,
-                                       fastpath=fastpath))
-    return results
+    return _run_batched("pvf", workload, isa, actions, golden, hardened,
+                        fastpath)
 
 
 def run_batched_svf(workload: str, isa: str, actions, golden: GoldenRun,
                     hardened: bool = False,
                     fastpath: "bool | None" = None) -> list:
     """Run up to 64 SVF actions in one batch; scalar-equal results."""
-    outcomes, image, _store = _run_batch(workload, isa, "host",
-                                         actions, golden, hardened,
-                                         fastpath)
-    results = []
-    for action, outcome in zip(actions, outcomes):
-        if outcome.kind == "result":
-            results.append(svf_result(outcome.result, golden, action))
-        elif outcome.kind == "state":
-            run = _continue_scalar(workload, isa, "host", action,
-                                   outcome.state, golden, hardened,
-                                   "svf", image=image)
-            results.append(svf_result(run, golden, action))
-        else:
-            results.append(run_one_svf(workload, isa, action, golden,
-                                       hardened=hardened,
-                                       fastpath=fastpath))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# sharded-campaign workers (picklable; deterministic in (seed, indices))
-# ---------------------------------------------------------------------------
-def _one_pvf_batch(args: tuple) -> list:
-    (workload, config_name, model, seed, indices, hardened,
-     fastpath) = args
-    from ..isa.registers import register_set
-    from ..uarch.config import config_by_name
-
-    config = config_by_name(config_name)
-    golden = golden_run(workload, config_name, hardened=hardened)
-    xlen = register_set(config.isa).xlen
-    actions = [build_campaign_action(
-        "pvf", index, workload=workload, config_name=config_name,
-        seed=seed, xlen=xlen, golden=golden, model=model)
-        for index in indices]
-    try:
-        return run_batched_pvf(workload, config.isa, actions, golden,
-                               hardened=hardened, fastpath=fastpath)
-    except ContainmentError as exc:
-        raise exc.with_context(seed=seed, indices=list(indices),
-                               model=model, batched=True)
-
-
-def _one_svf_batch(args: tuple) -> list:
-    workload, config_name, seed, indices, hardened, fastpath = args
-    from ..isa.registers import register_set
-    from ..uarch.config import config_by_name
-
-    config = config_by_name(config_name)
-    golden = golden_run(workload, config_name, hardened=hardened)
-    xlen = register_set(config.isa).xlen
-    actions = [build_campaign_action(
-        "svf", index, workload=workload, config_name=config_name,
-        seed=seed, xlen=xlen, golden=golden)
-        for index in indices]
-    try:
-        return run_batched_svf(workload, config.isa, actions, golden,
-                               hardened=hardened, fastpath=fastpath)
-    except ContainmentError as exc:
-        raise exc.with_context(seed=seed, indices=list(indices),
-                               batched=True)
+    return _run_batched("svf", workload, isa, actions, golden, hardened,
+                        fastpath)

@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field
 from ..faults.fault import sample_uniform
 from ..faults.outcomes import Outcome
 from ..faults.sampling import margin_of_error
+from ..isa.registers import register_set
 from ..obs import EventLog, ProgressReporter, progress_enabled
 from ..obs.metrics import (BATCH_FALLBACKS, LATENCY_BUCKETS, Histogram,
                            MetricsRegistry, get_registry)
@@ -38,62 +39,104 @@ from ..uarch.exceptions import ContainmentError
 from .archinj import build_pvf_action, run_one_pvf
 from .engine import atomic_write_text, clear_checkpoints, run_sharded
 from .gefin import InjectionResult, run_one_injection
-from .golden import cache_dir, golden_run
+from .golden import cache_dir, checkpoint_store, golden_run
 from .llfi import _dest_flip_action, run_one_svf
 
 INJECTORS = ("gefin", "pvf", "svf")
 
 
 # ---------------------------------------------------------------------------
-# per-run workers (deterministic in (seed, index); picklable by design)
+# the run recipe (deterministic in (seed, index); picklable by design)
 # ---------------------------------------------------------------------------
-def _one_gefin(args: tuple) -> InjectionResult:
-    (workload, config_name, structure, seed, index, hardened,
-     prefer_live, fastpath) = args
+def check_injector(injector: str, config_name: str) -> None:
+    """Reject an injector the config cannot run, before any simulation.
+
+    The LLFI model behind svf flips 64-bit destination values only,
+    mirroring LLFI's limitation reported in the paper.
+    """
+    if injector not in INJECTORS:
+        raise ValueError(f"unknown injector {injector!r}")
+    if injector == "svf" and \
+            register_set(config_by_name(config_name).isa).xlen != 64:
+        raise ValueError(
+            "the SVF injector supports 64-bit ISAs only, mirroring "
+            "LLFI's limitation reported in the paper")
+
+
+def draw_fault(injector: str, workload: str, config_name: str,
+               target: "str | None", seed: int, index: int,
+               golden, prefer_live: bool = True):
+    """The fault campaign run ``(seed, index)`` injects.
+
+    A :class:`~repro.faults.fault.FaultSpec` for gefin (*target* is
+    the structure), a :class:`~repro.uarch.functional.FaultAction`
+    for pvf (*target* is the model) and svf (*target* is ignored).
+    Every campaign mode, the planner and the trace replay draw here,
+    so a run means the same fault everywhere.  The RNG tuples are
+    part of every cached result: reordering one changes them all.
+    """
+    config = config_by_name(config_name)
+    if injector == "gefin":
+        rng = random.Random(repr((seed, "gefin", workload, config_name,
+                                  target, index)))
+        return sample_uniform(config, target, golden.cycles, rng,
+                              prefer_live=prefer_live)
+    xlen = register_set(config.isa).xlen
+    if injector == "pvf":
+        rng = random.Random(repr((seed, "pvf", target, workload,
+                                  config_name, index)))
+        return build_pvf_action(target, rng, golden, xlen)
+    if injector == "svf":
+        rng = random.Random(repr((seed, "svf", workload, config_name,
+                                  index)))
+        return _dest_flip_action(rng, golden, xlen)
+    raise ValueError(f"unknown injector {injector!r}")
+
+
+def run_task(task: tuple, tracer=None, arch_probe=None) \
+        -> InjectionResult:
+    """Run one campaign run from its task tuple ``(injector, workload,
+    config_name, target, seed, index, hardened, prefer_live,
+    fastpath)``; *tracer* and *arch_probe* observe the replay."""
+    (injector, workload, config_name, target, seed, index, hardened,
+     prefer_live, fastpath) = task
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened=hardened)
-    rng = random.Random(repr((seed, "gefin", workload, config_name,
-                         structure, index)))
-    spec = sample_uniform(config, structure, golden.cycles, rng,
-                          prefer_live=prefer_live)
+    fault = draw_fault(injector, workload, config_name, target, seed,
+                       index, golden, prefer_live)
     try:
-        return run_one_injection(workload, config, spec, golden,
-                                 hardened=hardened, fastpath=fastpath)
+        if injector == "gefin":
+            return run_one_injection(workload, config, fault, golden,
+                                     hardened=hardened, tracer=tracer,
+                                     fastpath=fastpath,
+                                     arch_probe=arch_probe)
+        run = run_one_pvf if injector == "pvf" else run_one_svf
+        return run(workload, config.isa, fault, golden,
+                   hardened=hardened, tracer=tracer, fastpath=fastpath,
+                   arch_probe=arch_probe)
     except ContainmentError as exc:
-        raise exc.with_context(seed=seed, index=index)
+        model = {"model": target} if injector == "pvf" else {}
+        raise exc.with_context(seed=seed, index=index, **model)
 
 
-def _one_pvf(args: tuple) -> InjectionResult:
-    workload, config_name, model, seed, index, hardened, fastpath = args
-    config = config_by_name(config_name)
+def _one_batch(task: tuple) -> list:
+    """A lane group of pvf/svf runs: *task* is :func:`run_task`'s
+    tuple with a tuple of indices in place of the index."""
+    from .batch import run_batched_pvf, run_batched_svf
+
+    (injector, workload, config_name, target, seed, indices, hardened,
+     prefer_live, fastpath) = task
     golden = golden_run(workload, config_name, hardened=hardened)
-    rng = random.Random(repr((seed, "pvf", model, workload, config_name,
-                         index)))
-    from ..isa.registers import register_set
-
-    action = build_pvf_action(model, rng, golden,
-                              register_set(config.isa).xlen)
+    actions = [draw_fault(injector, workload, config_name, target,
+                          seed, index, golden) for index in indices]
+    run = run_batched_pvf if injector == "pvf" else run_batched_svf
     try:
-        return run_one_pvf(workload, config.isa, action, golden,
-                           hardened=hardened, fastpath=fastpath)
+        return run(workload, config_by_name(config_name).isa, actions,
+                   golden, hardened=hardened, fastpath=fastpath)
     except ContainmentError as exc:
-        raise exc.with_context(seed=seed, index=index, model=model)
-
-
-def _one_svf(args: tuple) -> InjectionResult:
-    workload, config_name, seed, index, hardened, fastpath = args
-    config = config_by_name(config_name)
-    golden = golden_run(workload, config_name, hardened=hardened)
-    rng = random.Random(repr((seed, "svf", workload, config_name, index)))
-    from ..isa.registers import register_set
-
-    action = _dest_flip_action(rng, golden,
-                               register_set(config.isa).xlen)
-    try:
-        return run_one_svf(workload, config.isa, action, golden,
-                           hardened=hardened, fastpath=fastpath)
-    except ContainmentError as exc:
-        raise exc.with_context(seed=seed, index=index)
+        model = {"model": target} if injector == "pvf" else {}
+        raise exc.with_context(seed=seed, indices=list(indices),
+                               **model, batched=True)
 
 
 # shard codecs (scalar: one InjectionResult per task; batched: a lane
@@ -349,8 +392,7 @@ def _campaign_meta(injector: str, workload: str, config_name: str,
     from . import golden as golden_mod
     from .golden import config_digest, workload_digest
 
-    if injector not in INJECTORS:
-        raise ValueError(f"unknown injector {injector!r}")
+    check_injector(injector, config_name)
     cfg = config_by_name(config_name)
     digest = (workload_digest(workload, cfg.isa, hardened)
               + config_digest(cfg))
@@ -407,6 +449,22 @@ def _load_cached_campaign(path, schema: int) -> "CampaignResult | None":
         # the same corrupt/stale entry
         path.unlink(missing_ok=True)
         return None
+
+
+def prepare_golden(injector: str, workload: str, config_name: str,
+                   hardened: bool, use_fastpath: bool):
+    """Golden data (and, on the fast path, the checkpoint store) on
+    disk before any worker forks: every worker then loads the shared
+    store instead of re-running its own capture run."""
+    golden = golden_run(workload, config_name, hardened=hardened)
+    if use_fastpath:
+        checkpoint_store(workload, config_name,
+                         engine=("pipeline" if injector == "gefin"
+                                 else "functional-sim"
+                                 if injector == "pvf"
+                                 else "functional-host"),
+                         hardened=hardened)
+    return golden
 
 
 def default_workers(n: int) -> int:
@@ -509,11 +567,9 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
             population=population, progress=progress,
             fastpath=fastpath)
     config_name = config if isinstance(config, str) else config.name
-    cfg = config_by_name(config_name)
 
     from ..uarch.snapshot import fastpath_enabled
     from . import golden as golden_mod
-    from .golden import checkpoint_store
 
     use_fastpath = fastpath_enabled(fastpath)
     schema = golden_mod.CACHE_SCHEMA_VERSION
@@ -528,60 +584,28 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
             _write_profile_sidecar(campaign, path)
             return campaign
 
-    # make sure golden data (and, on the fast path, the checkpoint
-    # store) exists on disk before forking workers: every worker then
-    # loads the shared store instead of re-running its own capture run
-    golden = golden_run(workload, config_name, hardened=hardened)
-    if use_fastpath:
-        checkpoint_store(workload, config_name,
-                         engine=("pipeline" if injector == "gefin"
-                                 else "functional-sim"
-                                 if injector == "pvf"
-                                 else "functional-host"),
-                         hardened=hardened)
-
-    if injector == "gefin":
-        tasks = [(workload, config_name, structure, seed, i, hardened,
-                  prefer_live, use_fastpath) for i in range(n)]
-        worker = _one_gefin
-        weight = (golden.occupancy.get(structure, 1.0)
-                  if prefer_live else 1.0)
-    elif injector == "pvf":
-        tasks = [(workload, config_name, model, seed, i, hardened,
-                  use_fastpath) for i in range(n)]
-        worker = _one_pvf
-        weight = 1.0
-    else:
-        tasks = [(workload, config_name, seed, i, hardened,
-                  use_fastpath) for i in range(n)]
-        worker = _one_svf
-        weight = 1.0
-
+    golden = prepare_golden(injector, workload, config_name, hardened,
+                            use_fastpath)
+    target = (structure if injector == "gefin"
+              else model if injector == "pvf" else None)
+    weight = (golden.occupancy.get(structure, 1.0)
+              if injector == "gefin" and prefer_live else 1.0)
     from ..uarch.batch import resolve_batch_lanes
     lanes = resolve_batch_lanes(batch_lanes)
     lane_groups = None
     if lanes >= 2 and injector in ("pvf", "svf") and n:
-        from ..isa.registers import register_set
-        from .batch import (_one_pvf_batch, _one_svf_batch,
-                            plan_lane_groups)
+        from .batch import plan_lane_groups
 
-        xlen = register_set(cfg.isa).xlen
         lane_groups = plan_lane_groups(
             injector, n, lanes, workload=workload,
-            config_name=config_name, seed=seed, xlen=xlen,
-            golden=golden, model=model if injector == "pvf" else None)
-        if injector == "pvf":
-            tasks = [(workload, config_name, model, seed, group,
-                      hardened, use_fastpath) for group in lane_groups]
-            worker = _one_pvf_batch
-        else:
-            tasks = [(workload, config_name, seed, group, hardened,
-                      use_fastpath) for group in lane_groups]
-            worker = _one_svf_batch
+            config_name=config_name, seed=seed, golden=golden,
+            model=target)
+    runs = range(n) if lane_groups is None else lane_groups
+    tasks = [(injector, workload, config_name, target, seed, run,
+              hardened, prefer_live, use_fastpath) for run in runs]
+    worker = run_task if lane_groups is None else _one_batch
 
     n_workers = workers if workers is not None else default_workers(n)
-    target = (structure if injector == "gefin"
-              else model if injector == "pvf" else None)
     label = (f"{injector}:{workload}@{config_name}"
              + (f"/{target}" if target else ""))
     reporter = (ProgressReporter(len(tasks), label=label)

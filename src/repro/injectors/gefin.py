@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..faults.fault import FaultSpec, fault_site_bit, sample_campaign
+from ..faults.fault import FaultSpec, fault_site_bit
 from ..faults.outcomes import Outcome, Verdict, classify
 from ..kernel.loader import build_system_image
 from ..uarch.config import MicroarchConfig
 from ..uarch.exceptions import ContainmentError
 from ..uarch.pipeline import PipelineEngine
 from ..workloads.suite import load_workload
-from .golden import GoldenRun, golden_run
+from .golden import GoldenRun
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,21 @@ class InjectionResult:
         return max(0.0, self.crossing_cycle - self.inject_cycle)
 
 
+def describe_spec(spec: FaultSpec) -> str:
+    """Where a gefin flip lands, in words (the trace's landing site)."""
+    if spec.structure == "RF":
+        where = f"phys-reg slot {spec.a}, bit {spec.b}"
+    elif spec.structure == "LSQ":
+        where = f"entry slot {spec.a}, bit {spec.b}"
+    else:
+        where = (f"set {spec.a}, way {spec.b}, "
+                 f"{'tag' if spec.kind == 'tag' else 'line'} bit "
+                 f"{spec.c}")
+    burst = f" x{spec.n_bits} bits" if spec.n_bits > 1 else ""
+    live = " (steered live)" if spec.prefer_live else ""
+    return f"{spec.structure}: {where}{burst}{live}"
+
+
 def run_one_injection(workload: str, config: MicroarchConfig,
                       spec: FaultSpec, golden: GoldenRun,
                       hardened: bool = False, tracer=None,
@@ -90,6 +105,8 @@ def run_one_injection(workload: str, config: MicroarchConfig,
     from ..uarch import snapshot
     from .golden import checkpoint_store
 
+    if tracer is not None:
+        tracer.injected(spec.cycle, describe_spec(spec))
     program = load_workload(workload, config.isa, hardened=hardened)
     image = build_system_image(program)
     engine = PipelineEngine(
@@ -149,21 +166,3 @@ def run_one_injection(workload: str, config: MicroarchConfig,
                         if result.crossing else None),
         site_bit=fault_site_bit(config, spec),
     )
-
-
-def run_gefin_campaign(workload: str, config: MicroarchConfig,
-                       structure: str, n: int, seed: int,
-                       hardened: bool = False,
-                       prefer_live: bool = True) -> list[InjectionResult]:
-    """Run *n* injections into *structure* (deterministic in *seed*).
-
-    ``prefer_live=True`` uses occupancy-aware sampling (see
-    :mod:`repro.faults.fault`); the campaign aggregation layer
-    reweights by the golden occupancy to stay unbiased.
-    """
-    golden = golden_run(workload, config.name, hardened=hardened)
-    specs = sample_campaign(config, structure, golden.cycles, n, seed,
-                            prefer_live=prefer_live)
-    return [run_one_injection(workload, config, spec, golden,
-                              hardened=hardened)
-            for spec in specs]

@@ -13,8 +13,8 @@ pipeline and the injectors; every site guards with ``tracer is not
 None``, so tracing is a zero-cost no-op unless requested.  The
 collected :class:`TraceEvent` timeline plus the run's classification
 make a :class:`FaultTrace`, renderable as text and replayable on
-demand: :func:`trace_fault` re-derives the exact fault spec a
-campaign run ``(seed, index)`` used, so the trace agrees field by
+demand: :func:`trace_run` re-runs campaign run ``(seed, index)``
+through the campaign's own worker, so the trace agrees field by
 field with the campaign's own ``InjectionResult``.
 """
 
@@ -26,9 +26,6 @@ __all__ = [
     "FaultTrace",
     "FaultTracer",
     "TraceEvent",
-    "trace_fault",
-    "trace_fault_arch",
-    "trace_fault_soft",
     "trace_run",
 ]
 
@@ -173,175 +170,65 @@ class FaultTrace:
 
 
 # ---------------------------------------------------------------------------
-# replay entry points (mirror the campaign workers' RNG derivations)
+# replay
 # ---------------------------------------------------------------------------
-def _describe_spec(spec) -> str:
-    if spec.structure == "RF":
-        where = f"phys-reg slot {spec.a}, bit {spec.b}"
-    elif spec.structure == "LSQ":
-        where = f"entry slot {spec.a}, bit {spec.b}"
-    else:
-        where = (f"set {spec.a}, way {spec.b}, "
-                 f"{'tag' if spec.kind == 'tag' else 'line'} bit "
-                 f"{spec.c}")
-    burst = f" x{spec.n_bits} bits" if spec.n_bits > 1 else ""
-    live = " (steered live)" if spec.prefer_live else ""
-    return f"{spec.structure}: {where}{burst}{live}"
-
-
-def trace_fault(workload: str, config_name: str, structure: str,
-                seed: int, index: int = 0, hardened: bool = False,
-                prefer_live: bool = True, arch_probe=None):
-    """Replay campaign run ``(seed, index)`` with tracing enabled.
-
-    Derives the fault spec exactly as the gefin campaign worker does,
-    so the returned ``(FaultTrace, InjectionResult)`` matches the
-    classification the campaign path produced for the same run.
-    *arch_probe* is forwarded to the engine (used by
-    :mod:`repro.obs.trace_diff` to snapshot state per step).
-    """
-    import random
-
-    from ..faults.fault import sample_uniform
-    from ..injectors.gefin import run_one_injection
-    from ..injectors.golden import golden_run
-    from ..uarch.config import config_by_name
-
-    config = config_by_name(config_name)
-    golden = golden_run(workload, config_name, hardened=hardened)
-    # identical derivation to campaign._one_gefin — keep in sync
-    rng = random.Random(repr((seed, "gefin", workload, config_name,
-                              structure, index)))
-    spec = sample_uniform(config, structure, golden.cycles, rng,
-                          prefer_live=prefer_live)
-    tracer = FaultTracer()
-    tracer.injected(spec.cycle, _describe_spec(spec))
-    result = run_one_injection(workload, config, spec, golden,
-                               hardened=hardened, tracer=tracer,
-                               arch_probe=arch_probe)
-    tracer.outcome(result.cycles,
-                   result.outcome
-                   + (f" ({result.crash_kind})"
-                      if result.crash_kind else ""))
-    trace = FaultTrace(
-        workload=workload, config_name=config_name, injector="gefin",
-        structure=structure, model=None, seed=seed, index=index,
-        inject_cycle=spec.cycle, landing=_describe_spec(spec),
-        fault_applied=result.fault_applied,
-        fault_live=result.fault_live,
-        crossed=result.crossed,
-        crossing_cycle=result.crossing_cycle,
-        crossing_site=_first_crossing_site(tracer),
-        in_kernel_crossing=result.in_kernel_crossing,
-        fpm=result.fpm, outcome=result.outcome,
-        crash_kind=result.crash_kind, cycles=result.cycles,
-        events=tracer.events,
-    )
-    return trace, result
-
-
-def _first_crossing_site(tracer: FaultTracer) -> str:
+def _first_detail(tracer: FaultTracer, kind: str) -> str:
     for event in tracer.events:
-        if event.kind == "crossed":
-            return event.detail.partition(" via ")[2]
+        if event.kind == kind:
+            return event.detail
     return ""
-
-
-def _trace_functional(injector: str, workload: str, config_name: str,
-                      model: str | None, seed: int, index: int,
-                      hardened: bool, arch_probe=None):
-    """Shared PVF/SVF replay: architecture-level faults cross at birth."""
-    import random
-
-    from ..injectors.archinj import build_pvf_action, run_one_pvf
-    from ..injectors.golden import golden_run
-    from ..injectors.llfi import _dest_flip_action, run_one_svf
-    from ..isa.registers import register_set
-    from ..uarch.config import config_by_name
-
-    config = config_by_name(config_name)
-    golden = golden_run(workload, config_name, hardened=hardened)
-    xlen = register_set(config.isa).xlen
-    tracer = FaultTracer()
-    if injector == "pvf":
-        rng = random.Random(repr((seed, "pvf", model, workload,
-                                  config_name, index)))
-        action = build_pvf_action(model, rng, golden, xlen)
-        result = run_one_pvf(workload, config.isa, action, golden,
-                             hardened=hardened, tracer=tracer,
-                             arch_probe=arch_probe)
-    else:
-        rng = random.Random(repr((seed, "svf", workload, config_name,
-                                  index)))
-        action = _dest_flip_action(rng, golden, xlen)
-        result = run_one_svf(workload, config.isa, action, golden,
-                             hardened=hardened, tracer=tracer,
-                             arch_probe=arch_probe)
-    origin = getattr(action, "origin", "architectural state")
-    tracer.outcome(result.cycles,
-                   result.outcome
-                   + (f" ({result.crash_kind})"
-                      if result.crash_kind else ""))
-    trace = FaultTrace(
-        workload=workload, config_name=config_name, injector=injector,
-        structure=None, model=model, seed=seed, index=index,
-        inject_cycle=float(action.when), landing=origin,
-        fault_applied=result.fault_applied,
-        fault_live=result.fault_live,
-        crossed=result.crossed, crossing_cycle=result.crossing_cycle,
-        crossing_site=origin, in_kernel_crossing=False,
-        fpm=(model if injector == "pvf" else "WD"),
-        outcome=result.outcome, crash_kind=result.crash_kind,
-        cycles=result.cycles, events=tracer.events,
-    )
-    return trace, result
-
-
-def trace_fault_arch(workload: str, config_name: str, model: str,
-                     seed: int, index: int = 0,
-                     hardened: bool = False, arch_probe=None):
-    """Replay one architecture-level (PVF) campaign run with tracing."""
-    return _trace_functional("pvf", workload, config_name, model,
-                             seed, index, hardened,
-                             arch_probe=arch_probe)
-
-
-def trace_fault_soft(workload: str, config_name: str, seed: int,
-                     index: int = 0, hardened: bool = False,
-                     arch_probe=None):
-    """Replay one software-level (SVF/LLFI) campaign run with tracing."""
-    return _trace_functional("svf", workload, config_name, None,
-                             seed, index, hardened,
-                             arch_probe=arch_probe)
 
 
 def trace_run(injector: str, workload: str, config_name: str,
               seed: int, index: int = 0, structure: str | None = None,
               model: str | None = None, hardened: bool = False,
               arch_probe=None):
-    """Dispatch to the right replay entry point for *injector*.
+    """Replay campaign run ``(seed, index)`` with tracing enabled.
 
-    The single front door the CLI and the observatory's drill-down
-    endpoint share: gefin needs *structure*, pvf needs *model*, svf
-    needs neither.  Returns ``(FaultTrace, InjectionResult)``.  Both
-    a tracer and an *arch_probe* force the scalar slow path, so the
+    The one replay entry point, shared by the CLI and the
+    observatory's drill-down endpoint: gefin needs *structure*, pvf
+    needs *model*, svf needs neither.  The run goes through the
+    campaign's own worker (:func:`repro.injectors.campaign.run_task`),
+    so the returned ``(FaultTrace, InjectionResult)`` matches the
+    classification the campaign produced for the same run.  Both the
+    tracer and an *arch_probe* (used by :mod:`repro.obs.trace_diff` to
+    snapshot state per step) force the scalar slow path, so the
     replayed trajectory is the plain from-reset one regardless of
     ``REPRO_FASTPATH``/``REPRO_BATCH``.
     """
-    if injector == "gefin":
-        if not structure:
-            raise ValueError("gefin traces need a structure")
-        return trace_fault(workload, config_name, structure, seed,
-                           index=index, hardened=hardened,
-                           arch_probe=arch_probe)
-    if injector == "pvf":
-        if not model:
-            raise ValueError("pvf traces need a model")
-        return trace_fault_arch(workload, config_name, model, seed,
-                                index=index, hardened=hardened,
-                                arch_probe=arch_probe)
-    if injector == "svf":
-        return trace_fault_soft(workload, config_name, seed,
-                                index=index, hardened=hardened,
-                                arch_probe=arch_probe)
-    raise ValueError(f"unknown injector {injector!r}")
+    from ..injectors.campaign import INJECTORS, run_task
+
+    if injector not in INJECTORS:
+        raise ValueError(f"unknown injector {injector!r}")
+    if injector == "gefin" and not structure:
+        raise ValueError("gefin traces need a structure")
+    if injector == "pvf" and not model:
+        raise ValueError("pvf traces need a model")
+    structure = structure if injector == "gefin" else None
+    model = model if injector == "pvf" else None
+    tracer = FaultTracer()
+    result = run_task((injector, workload, config_name,
+                       structure or model, seed, index, hardened, True,
+                       None), tracer=tracer, arch_probe=arch_probe)
+    tracer.outcome(result.cycles,
+                   result.outcome
+                   + (f" ({result.crash_kind})"
+                      if result.crash_kind else ""))
+    trace = FaultTrace(
+        workload=workload, config_name=config_name, injector=injector,
+        structure=structure, model=model, seed=seed, index=index,
+        inject_cycle=result.inject_cycle,
+        landing=_first_detail(tracer, "injected"),
+        fault_applied=result.fault_applied,
+        fault_live=result.fault_live,
+        crossed=result.crossed,
+        crossing_cycle=result.crossing_cycle,
+        crossing_site=_first_detail(tracer, "crossed")
+        .partition(" via ")[2],
+        in_kernel_crossing=result.in_kernel_crossing,
+        # a functional fault's FPM is its model; svf flips data (WD)
+        fpm=result.fpm if injector == "gefin" else model or "WD",
+        outcome=result.outcome, crash_kind=result.crash_kind,
+        cycles=result.cycles, events=tracer.events,
+    )
+    return trace, result

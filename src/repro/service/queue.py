@@ -115,7 +115,7 @@ def canonical_request(raw: dict) -> dict:
     not change the digest), and unknown keys are rejected rather than
     silently dropped.
     """
-    from ..injectors.campaign import INJECTORS
+    from ..injectors.campaign import INJECTORS, check_injector
     from ..workloads.suite import WORKLOAD_NAMES
 
     if not isinstance(raw, dict):
@@ -146,6 +146,10 @@ def canonical_request(raw: dict) -> dict:
         config_by_name(config)
     except (KeyError, ValueError, TypeError):
         raise InvalidRequest(f"unknown config {config!r}") from None
+    try:
+        check_injector(injector, config)
+    except ValueError as exc:
+        raise InvalidRequest(str(exc)) from None
 
     structure = raw.get("structure", "RF") if injector == "gefin" \
         else None

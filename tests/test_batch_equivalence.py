@@ -23,9 +23,9 @@ import pytest
 
 from repro.injectors import golden as golden_mod
 from repro.injectors.archinj import build_pvf_action, run_one_pvf
-from repro.injectors.batch import (build_campaign_action,
-                                   plan_lane_groups, run_batched_pvf,
+from repro.injectors.batch import (plan_lane_groups, run_batched_pvf,
                                    run_batched_svf)
+from repro.injectors.campaign import draw_fault
 from repro.injectors.campaign import run_campaign
 from repro.injectors.golden import golden_run
 from repro.injectors.llfi import run_one_svf
@@ -54,9 +54,8 @@ def golden():
 
 
 def _actions(injector, golden, n, model=None, seed=3, workload=WORKLOAD):
-    return [build_campaign_action(
-        injector, i, workload=workload, config_name=CONFIG, seed=seed,
-        xlen=64, golden=golden, model=model) for i in range(n)]
+    return [draw_fault(injector, workload, CONFIG, model, seed, i, golden)
+            for i in range(n)]
 
 
 def _differential_pvf(actions, golden, workload=WORKLOAD):
@@ -187,15 +186,14 @@ class TestBatchEngages:
 
     def test_lane_groups_cover_all_indices(self, golden):
         groups = plan_lane_groups("pvf", 23, 8, workload=WORKLOAD,
-                                  config_name=CONFIG, seed=1, xlen=64,
+                                  config_name=CONFIG, seed=1,
                                   golden=golden, model="WD")
         assert [len(g) for g in groups] == [8, 8, 7]
         assert sorted(i for g in groups for i in g) == list(range(23))
         # groups are time-sorted so a batch shares one restore point
-        whens = [[build_campaign_action(
-            "pvf", i, workload=WORKLOAD, config_name=CONFIG, seed=1,
-            xlen=64, golden=golden, model="WD").when for i in g]
-            for g in groups]
+        whens = [[draw_fault("pvf", WORKLOAD, CONFIG, "WD", 1, i,
+                             golden).when for i in g]
+                 for g in groups]
         flat = [w for g in whens for w in g]
         assert flat == sorted(flat)
 
@@ -249,9 +247,8 @@ class TestEvictionRoundTrip:
 # ---------------------------------------------------------------------------
 class TestEvictionBoundaries:
     def _wd(self, golden, index, seed=7):
-        return build_campaign_action(
-            "pvf", index, workload=WORKLOAD, config_name=CONFIG,
-            seed=seed, xlen=64, golden=golden, model="WD")
+        return draw_fault("pvf", WORKLOAD, CONFIG, "WD", seed, index,
+                          golden)
 
     def _trap(self, golden):
         """A WI opcode-field flip: decodes to garbage and traps."""

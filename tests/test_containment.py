@@ -244,8 +244,8 @@ class TestFastPathContainment:
         monkeypatch.setattr(campaign_mod, "sample_uniform",
                             lambda *args, **kwargs: wild)
         with pytest.raises(ContainmentError) as info:
-            campaign_mod._one_gefin((WORKLOAD, CONFIG, "RF", 11, 4,
-                                     False, False, True))
+            campaign_mod.run_task(("gefin", WORKLOAD, CONFIG, "RF", 11,
+                                   4, False, False, True))
         context = info.value.context
         assert context["seed"] == 11
         assert context["index"] == 4

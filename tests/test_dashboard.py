@@ -246,18 +246,18 @@ class TestAttribution:
                    for c in attribution.by_phase()) == 3
 
     def test_site_bit_recorded_by_all_injectors(self):
-        from repro.injectors.campaign import (_one_gefin, _one_pvf,
-                                              _one_svf)
+        from repro.injectors.campaign import run_task
 
-        gefin = _one_gefin(("sha", "cortex-a72", "RF", 7, 0, False,
-                            True, True))
+        gefin = run_task(("gefin", "sha", "cortex-a72", "RF", 7, 0,
+                          False, True, True))
         assert gefin.site_bit is not None
         assert 0 <= gefin.site_bit < 64
-        pvf = _one_pvf(("sha", "cortex-a72", "WD", 7, 0, False,
-                        True))
+        pvf = run_task(("pvf", "sha", "cortex-a72", "WD", 7, 0, False,
+                        True, True))
         assert pvf.site_bit is not None
         assert 0 <= pvf.site_bit < 64
-        svf = _one_svf(("sha", "cortex-a72", 7, 0, False, True))
+        svf = run_task(("svf", "sha", "cortex-a72", None, 7, 0, False,
+                        True, True))
         assert svf.site_bit is not None
         assert 0 <= svf.site_bit < 64
 

@@ -228,18 +228,18 @@ class TestCampaignResume:
         # 2. drop one checkpoint (that shard was mid-flight when the
         #    campaign died); the resume must re-run exactly that shard
         checkpoints[1].unlink()
-        real_worker = campaign_mod._one_svf
+        real_worker = campaign_mod.run_task
         calls = []
 
         def counting_worker(task):
             calls.append(task)
             return real_worker(task)
 
-        monkeypatch.setattr(campaign_mod, "_one_svf", counting_worker)
+        monkeypatch.setattr(campaign_mod, "run_task", counting_worker)
         resumed = run_campaign("crc32", "cortex-a72", **self.ARGS)
         assert final.read_bytes() == expected
         # only the lost shard (run indices 2 and 3) was recomputed
-        assert [t[3] for t in calls] == [2, 3]
+        assert [t[5] for t in calls] == [2, 3]
         assert [r.outcome for r in resumed.results] == \
             [r.outcome
              for r in CampaignResult.from_json(

@@ -93,10 +93,22 @@ class TestCampaignMachinery:
 
 class TestLayerSemantics:
     def test_svf_rejects_32bit(self):
-        from repro.injectors.llfi import run_svf_campaign
-
         with pytest.raises(ValueError):
-            run_svf_campaign("sha", MR32, "cortex-a9", n=1, seed=1)
+            run_campaign("sha", "cortex-a9", injector="svf", n=1, seed=1)
+
+    @pytest.mark.parametrize("mode", [
+        {}, {"batch_lanes": 8}, {"planner": "two-level"}])
+    def test_svf_32bit_rejected_before_simulation(self, monkeypatch,
+                                                  mode):
+        from repro.injectors import campaign as campaign_mod
+
+        def no_golden(*args, **kwargs):
+            raise AssertionError("simulated before rejecting")
+
+        monkeypatch.setattr(campaign_mod, "golden_run", no_golden)
+        with pytest.raises(ValueError, match="64-bit"):
+            run_campaign("sha", "cortex-a9", injector="svf", n=2,
+                         seed=1, use_cache=False, **mode)
 
     def test_svf_sdc_dominated(self):
         """Software-level injection mostly produces SDCs (paper Fig 4)."""

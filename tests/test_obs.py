@@ -284,23 +284,23 @@ class TestPrometheus:
 # ---------------------------------------------------------------------------
 class TestTracing:
     def test_trace_agrees_with_campaign_worker(self):
-        from repro.injectors.campaign import _one_gefin
-        from repro.obs.tracing import trace_fault
+        from repro.injectors.campaign import run_task
+        from repro.obs.tracing import trace_run
 
-        trace, result = trace_fault("sha", "cortex-a72", "RF", 7,
-                                    index=0)
-        campaign = _one_gefin(("sha", "cortex-a72", "RF", 7, 0,
-                               False, True, True))
+        trace, result = trace_run("gefin", "sha", "cortex-a72", 7,
+                                  index=0, structure="RF")
+        campaign = run_task(("gefin", "sha", "cortex-a72", "RF", 7, 0,
+                             False, True, True))
         assert result == campaign
         assert trace.outcome == campaign.outcome
         assert trace.fpm == campaign.fpm
         assert trace.crossed == campaign.crossed
 
     def test_trace_render_tells_the_story(self):
-        from repro.obs.tracing import trace_fault
+        from repro.obs.tracing import trace_run
 
-        trace, result = trace_fault("crc32", "cortex-a72", "RF", 7,
-                                    index=0)
+        trace, result = trace_run("gefin", "crc32", "cortex-a72", 7,
+                                  index=0, structure="RF")
         text = trace.render()
         assert "injected" in text and "outcome" in text
         assert result.outcome in text

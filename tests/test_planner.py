@@ -58,16 +58,13 @@ class TestPartition:
 
     def test_stream_enumeration_deterministic_and_total(self, a72):
         golden = golden_run(WORKLOAD, CONFIG)
-        a = enumerate_stream(WORKLOAD, a72, "RF", 1, 40,
-                             golden.cycles)
-        b = enumerate_stream(WORKLOAD, a72, "RF", 1, 40,
-                             golden.cycles)
+        a = enumerate_stream(WORKLOAD, a72, "RF", 1, 40, golden)
+        b = enumerate_stream(WORKLOAD, a72, "RF", 1, 40, golden)
         assert a == b
         # every naive index lands in exactly one class
         flat = sorted(i for members in a for i in members)
         assert flat == list(range(40))
-        c = enumerate_stream(WORKLOAD, a72, "RF", 2, 40,
-                             golden.cycles)
+        c = enumerate_stream(WORKLOAD, a72, "RF", 2, 40, golden)
         assert a != c
 
 

@@ -197,7 +197,7 @@ class TestReplayGate:
     def test_trace_replays_when_allowed(self, sidecars):
         # the one endpoint that simulates: a real gefin replay with
         # the campaign-identical (seed, index) derivation
-        from repro.injectors.campaign import _one_gefin
+        from repro.injectors.campaign import run_task
 
         cid = next(sidecars.glob("campaign-gefin-sha-*.json")).stem
         with _serving(sidecars, allow_replay=True) as (_, base):
@@ -208,8 +208,8 @@ class TestReplayGate:
         assert trace["seed"] == 7 and trace["index"] == 0
         assert payload["rendered"].startswith("fault trace:")
         # field-for-field agreement with the campaign worker
-        worker = _one_gefin(("sha", "cortex-a72", trace["structure"],
-                             7, 0, False, True, True))
+        worker = run_task(("gefin", "sha", "cortex-a72",
+                           trace["structure"], 7, 0, False, True, True))
         assert payload["outcome"] == worker.outcome
 
     def test_trace_of_missing_campaign_is_404(self, sidecars):

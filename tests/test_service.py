@@ -95,6 +95,17 @@ class TestCanonicalRequest:
         with pytest.raises(InvalidRequest):
             canonical_request(bad)
 
+    def test_rejects_svf_on_32bit_config(self):
+        # the LLFI model is 64-bit only: the request must fail at
+        # submission, not in the worker after a golden run
+        with pytest.raises(InvalidRequest, match="64-bit"):
+            canonical_request({"workload": "sha", "config": "cortex-a9",
+                               "injector": "svf"})
+        assert canonical_request({"workload": "sha",
+                                  "config": "cortex-a9",
+                                  "injector": "pvf"})["config"] \
+            == "cortex-a9"
+
 
 # ---------------------------------------------------------------------------
 # the queue state machine

@@ -70,20 +70,12 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("injector", sorted(PINNED))
     def test_outcome_agrees_byte_for_byte(self, payloads, injector):
-        from repro.injectors.campaign import (_one_gefin, _one_pvf,
-                                              _one_svf)
+        from repro.injectors.campaign import run_task
 
         workload, kwargs, seed = PINNED[injector]
-        if injector == "gefin":
-            worker = _one_gefin((workload, CONFIG,
-                                 kwargs["structure"], seed, 0,
-                                 False, True, True))
-        elif injector == "pvf":
-            worker = _one_pvf((workload, CONFIG, kwargs["model"],
-                               seed, 0, False, True))
-        else:
-            worker = _one_svf((workload, CONFIG, seed, 0, False,
-                               True))
+        target = kwargs.get("structure") or kwargs.get("model")
+        worker = run_task((injector, workload, CONFIG, target, seed, 0,
+                           False, True, True))
         assert (json.dumps(payloads[injector]["outcome"],
                            sort_keys=True)
                 == json.dumps(asdict(worker), sort_keys=True))
