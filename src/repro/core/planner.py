@@ -50,21 +50,19 @@ the naive campaign's 99% Wilson interval.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from ..faults.fault import fault_site_bit
 from ..faults.sampling import wilson_interval
-from ..obs import EventLog
-from ..obs.metrics import get_registry
 from ..uarch.config import MicroarchConfig, config_by_name
 
 #: planner grid — coarser than the dashboard's attribution grid so the
 #: one-representative-per-class opening batch stays small
 PLAN_PHASES = 4
 PLAN_REGIONS = 2
+#: confidence level of the stopping rule's Wilson interval
+PLAN_CONFIDENCE = 0.99
 
 #: sequential batch size after the opening representative sweep
 DEFAULT_BATCH = 16
@@ -403,7 +401,6 @@ def run_planned_campaign(workload: str,
                          model: str = "WD", n: int = 200,
                          seed: int = 1,
                          target_margin: float = DEFAULT_TARGET_MARGIN,
-                         confidence: float = 0.99,
                          batch: int = DEFAULT_BATCH,
                          hardened: bool = False,
                          prefer_live: bool = True,
@@ -412,8 +409,7 @@ def run_planned_campaign(workload: str,
                          population: float | None = None,
                          progress: bool | None = None,
                          fastpath: bool | None = None,
-                         n_phases: int = PLAN_PHASES,
-                         n_regions: int = PLAN_REGIONS):
+                         cancel=None):
     """Run (or load) one two-level, sequentially-stopped campaign.
 
     *n* is the naive-equivalent budget: the sample count a fixed-size
@@ -424,6 +420,8 @@ def run_planned_campaign(workload: str,
     field records the partition (per-class weights, populations, live
     priors, trials, successes), the planned-vs-actual counts, the
     extrapolated estimate and the per-batch Wilson-margin trajectory.
+    *cancel* stops the campaign at the next batch boundary, as
+    :func:`~repro.injectors.campaign.run_campaign` documents.
 
     Determinism: the site stream is deterministic in
     ``(seed, index)``, batch allocation is a pure function of the
@@ -432,199 +430,157 @@ def run_planned_campaign(workload: str,
     fixed seed, at any worker count.
     """
     from ..injectors import campaign as campaign_mod
-    from ..injectors import golden as golden_mod
-    from ..injectors.campaign import CampaignResult, default_workers
-    from ..injectors.engine import atomic_write_text, run_sharded
-    from ..injectors.golden import (cache_dir, config_digest,
-                                    workload_digest)
-    from ..uarch.snapshot import fastpath_enabled
+    from ..injectors.engine import run_sharded
+    from ..injectors.golden import cache_dir
 
     config_name = config if isinstance(config, str) else config.name
-    campaign_mod.check_injector(injector, config_name)
-    cfg = config_by_name(config_name)
-    use_fastpath = fastpath_enabled(fastpath)
 
-    digest = (workload_digest(workload, cfg.isa, hardened)
-              + config_digest(cfg))
-    schema = golden_mod.CACHE_SCHEMA_VERSION
-    target = structure if injector == "gefin" else model \
-        if injector == "pvf" else "-"
-    meta = (f"planned-{injector}", workload, config_name, target, n,
-            seed, hardened, prefer_live, round(target_margin, 9),
-            round(confidence, 9), batch, n_phases, n_regions, digest,
-            schema)
-    path = campaign_mod._campaign_path(meta)
-    if use_cache:
-        cached = campaign_mod._load_cached_campaign(path, schema)
-        if cached is not None:
-            if population is not None:
-                cached.population = population
-            campaign_mod._write_profile_sidecar(cached, path)
-            return cached
+    def sample(golden, target, weight, task, path, events, registry):
+        cfg = config_by_name(config_name)
+        classes = partition_classes(workload, cfg, structure=structure,
+                                    injector=injector,
+                                    hardened=hardened,
+                                    prefer_live=prefer_live)
+        if injector == "gefin":
+            members = enumerate_stream(workload, cfg, structure, seed,
+                                       n, golden,
+                                       prefer_live=prefer_live)
+        else:
+            members = [list(range(n))]
+        pruned = [c.pruned for c in classes]
+        caps = [0 if pruned[i] else len(m)
+                for i, m in enumerate(members)]
+        # empirical population shares of the *finite* site stream —
+        # the weights the extrapolation must use for full-budget
+        # equivalence
+        weights = [len(m) / n if n else 0.0 for m in members]
+        prior = (_prior_p(workload, config_name, structure, weight)
+                 if injector == "gefin" else 0.5)
 
-    golden = campaign_mod.prepare_golden(injector, workload, config_name,
-                                         hardened, use_fastpath)
+        trials = [0] * len(classes)
+        hits = [0] * len(classes)
+        per_class_results: list = [[] for _ in classes]
+        batches: list = []
+        n_workers = (workers if workers is not None
+                     else campaign_mod.default_workers(n))
+        stopped_early = False
 
-    classes = partition_classes(workload, cfg, structure=structure,
-                                injector=injector, hardened=hardened,
-                                prefer_live=prefer_live,
-                                n_phases=n_phases,
-                                n_regions=n_regions)
-    if injector == "gefin":
-        members = enumerate_stream(workload, cfg, structure, seed, n,
-                                   golden,
-                                   prefer_live=prefer_live,
-                                   n_phases=n_phases,
-                                   n_regions=n_regions)
-    else:
-        members = [list(range(n))]
-    pruned = [c.pruned for c in classes]
-    caps = [0 if pruned[i] else len(m)
-            for i, m in enumerate(members)]
-    # empirical population shares of the *finite* site stream — the
-    # weights the extrapolation must use for full-budget equivalence
-    weights = [len(m) / n if n else 0.0 for m in members]
-    weight = (golden.occupancy.get(structure, 1.0)
-              if injector == "gefin" and prefer_live else 1.0)
-    prior = (_prior_p(workload, config_name, structure, weight)
-             if injector == "gefin" else 0.5)
+        active = sum(1 for i in range(len(classes))
+                     if caps[i] > 0 and weights[i] > 0)
+        next_batch = max(active, min(MIN_SAMPLES, n))
+        while True:
+            next_batch = min(next_batch, sum(caps) - sum(trials))
+            if next_batch <= 0:
+                break
+            alloc = _allocate(next_batch, weights, trials, caps)
+            if sum(alloc) <= 0:
+                break
+            picks = [(i, members[i][trials[i] + k])
+                     for i in range(len(classes))
+                     for k in range(alloc[i])]
+            batch_results = run_sharded(
+                campaign_mod.run_task,
+                [task(index) for _, index in picks],
+                workers=n_workers, checkpoint_dir=None, encode=asdict,
+                decode=campaign_mod._decode_one,
+                events=events, label=f"{path.stem}-b{len(batches)}",
+                metrics=registry if registry.enabled else None,
+                repro_dir=cache_dir() / "repros", stop_event=cancel)
+            for (owner, _), result in zip(picks, batch_results):
+                trials[owner] += 1
+                if result.vulnerable:
+                    hits[owner] += 1
+                per_class_results[owner].append(result)
+            total = sum(trials)
+            pooled = sum(hits)
+            # the shrinkage prior decays with population coverage:
+            # once the subsample IS the population there is no
+            # sampling uncertainty left to regularise, and the
+            # estimate must equal the naive campaign's exactly
+            # (finite-population logic)
+            strength = PRIOR_STRENGTH * (1.0 - total / n) if n else 0.0
+            low, high = wilson_interval(pooled, total,
+                                        confidence=PLAN_CONFIDENCE)
+            margin_attained = weight * (high - low) / 2.0
+            batches.append({
+                "n": total,
+                "margin": round(margin_attained, 6),
+                "estimate": round(
+                    weight * _stratified_estimate(weights, pruned,
+                                                  trials, hits, prior,
+                                                  strength),
+                    6),
+            })
+            zero_ok = (pooled > 0
+                       or weight * high
+                       <= target_margin * ZERO_HIT_TIGHTEN)
+            if (margin_attained <= target_margin and zero_ok
+                    and (high - low) / 2.0 <= RAW_HALF_CAP
+                    and total >= min(MIN_SAMPLES, n)):
+                stopped_early = total < n
+                break
+            # grow batches geometrically (~1.5x) so long-running cells
+            # pay O(log n) synchronisation rounds, not O(n / batch)
+            next_batch = max(batch, total // 2)
 
-    trials = [0] * len(classes)
-    hits = [0] * len(classes)
-    per_class_results: list = [[] for _ in classes]
-    batches: list = []
-    events = EventLog.resolve(default=cache_dir() / "events.jsonl")
-    n_workers = workers if workers is not None else default_workers(n)
-    wall_started = time.monotonic()
-    stopped_early = False
-
-    active = sum(1 for i in range(len(classes))
-                 if caps[i] > 0 and weights[i] > 0)
-    next_batch = max(active, min(MIN_SAMPLES, n))
-    while True:
-        next_batch = min(next_batch, sum(caps) - sum(trials))
-        if next_batch <= 0:
-            break
-        alloc = _allocate(next_batch, weights, trials, caps)
-        if sum(alloc) <= 0:
-            break
-        picks = [(i, members[i][trials[i] + k])
-                 for i in range(len(classes)) for k in range(alloc[i])]
-        tasks = [(injector, workload, config_name, target, seed, index,
-                  hardened, prefer_live, use_fastpath)
-                 for _, index in picks]
-        batch_results = run_sharded(
-            campaign_mod.run_task, tasks, workers=n_workers,
-            checkpoint_dir=None, encode=asdict,
-            decode=campaign_mod._decode_one,
-            events=events, label=f"{path.stem}-b{len(batches)}",
-            repro_dir=cache_dir() / "repros")
-        for (owner, _), result in zip(picks, batch_results):
-            trials[owner] += 1
-            if result.vulnerable:
-                hits[owner] += 1
-            per_class_results[owner].append(result)
         total = sum(trials)
-        pooled = sum(hits)
-        # the shrinkage prior decays with population coverage: once
-        # the subsample IS the population there is no sampling
-        # uncertainty left to regularise, and the estimate must equal
-        # the naive campaign's exactly (finite-population logic)
         strength = PRIOR_STRENGTH * (1.0 - total / n) if n else 0.0
-        low, high = wilson_interval(pooled, total,
-                                    confidence=confidence)
-        margin_attained = weight * (high - low) / 2.0
-        batches.append({
-            "n": total,
-            "margin": round(margin_attained, 6),
-            "estimate": round(
-                weight * _stratified_estimate(weights, pruned, trials,
-                                              hits, prior, strength),
-                6),
-        })
-        zero_ok = (pooled > 0
-                   or weight * high
-                   <= target_margin * ZERO_HIT_TIGHTEN)
-        if (margin_attained <= target_margin and zero_ok
-                and (high - low) / 2.0 <= RAW_HALF_CAP
-                and total >= min(MIN_SAMPLES, n)):
-            stopped_early = total < n
-            break
-        # grow batches geometrically (~1.5x) so long-running cells pay
-        # O(log n) synchronisation rounds, not O(n / batch)
-        next_batch = max(batch, total // 2)
+        estimate = weight * _stratified_estimate(weights, pruned, trials,
+                                                 hits, prior, strength)
+        low, high = (wilson_interval(sum(hits), total,
+                                     confidence=PLAN_CONFIDENCE)
+                     if total else (0.0, 1.0))
+        plan = {
+            "planner": "two-level",
+            "target_margin": target_margin,
+            "confidence": PLAN_CONFIDENCE,
+            "batch": batch,
+            "n_phases": PLAN_PHASES,
+            "n_regions": PLAN_REGIONS,
+            "planned_n": n,
+            "actual_n": total,
+            "savings": round(n / total, 3) if total else float(n),
+            "stopped_early": stopped_early,
+            "prior_p": round(prior, 6),
+            "prior_strength": PRIOR_STRENGTH,
+            "estimate": round(estimate, 6),
+            "wilson": [round(weight * low, 6), round(weight * high, 6)],
+            "margin_attained": (batches[-1]["margin"] if batches
+                                else 0.0),
+            "classes": [{
+                "phase": cls.phase, "region": cls.region,
+                "weight": round(weights[i], 6),
+                "population": len(members[i]),
+                "live": round(cls.live, 6),
+                "pruned": cls.pruned,
+                "trials": trials[i], "successes": hits[i],
+            } for i, cls in enumerate(classes)],
+            "batches": batches,
+        }
+        events.emit("planner_summary", campaign=path.stem,
+                    planner="two-level", injector=injector,
+                    workload=workload, config=config_name,
+                    target=target or "-", planned_n=n, actual_n=total,
+                    savings=plan["savings"],
+                    margin_attained=plan["margin_attained"],
+                    target_margin=target_margin,
+                    estimate=plan["estimate"])
+        if registry.enabled:
+            registry.counter("planner.injections_planned").inc(n)
+            registry.counter("planner.injections_spent").inc(total)
+            registry.counter("planner.injections_saved").inc(
+                max(0, n - total))
+        # deterministic result order: class-major, draw-minor — stable
+        # no matter how batches were sized
+        results = [r for group in per_class_results for r in group]
+        return results, plan, None
 
-    # deterministic result order: class-major, draw-minor — stable no
-    # matter how batches were sized
-    results = [r for group in per_class_results for r in group]
-    elapsed = time.monotonic() - wall_started
-
-    total = sum(trials)
-    strength = PRIOR_STRENGTH * (1.0 - total / n) if n else 0.0
-    estimate = weight * _stratified_estimate(weights, pruned, trials,
-                                             hits, prior, strength)
-    low, high = (wilson_interval(sum(hits), total,
-                                 confidence=confidence)
-                 if total else (0.0, 1.0))
-    plan = {
-        "planner": "two-level",
-        "target_margin": target_margin,
-        "confidence": confidence,
-        "batch": batch,
-        "n_phases": n_phases,
-        "n_regions": n_regions,
-        "planned_n": n,
-        "actual_n": total,
-        "savings": round(n / total, 3) if total else float(n),
-        "stopped_early": stopped_early,
-        "prior_p": round(prior, 6),
-        "prior_strength": PRIOR_STRENGTH,
-        "estimate": round(estimate, 6),
-        "wilson": [round(weight * low, 6), round(weight * high, 6)],
-        "margin_attained": (batches[-1]["margin"] if batches
-                            else 0.0),
-        "classes": [{
-            "phase": cls.phase, "region": cls.region,
-            "weight": round(weights[i], 6),
-            "population": len(members[i]),
-            "live": round(cls.live, 6),
-            "pruned": cls.pruned,
-            "trials": trials[i], "successes": hits[i],
-        } for i, cls in enumerate(classes)],
-        "batches": batches,
-    }
-
-    campaign = CampaignResult(
-        injector=injector, workload=workload, config_name=config_name,
-        n=n, seed=seed,
-        structure=structure if injector == "gefin" else None,
-        model=model if injector == "pvf" else None,
-        hardened=hardened, occupancy_weight=weight,
-        population=population,
-        t_max=(golden.cycles if injector == "gefin"
-               else float(max(1, golden.instructions))),
-        results=results, plan=plan,
-    )
-    events.emit("campaign_summary", campaign=path.stem,
-                **campaign_mod._summary_fields(campaign, elapsed))
-    events.emit("planner_summary", campaign=path.stem,
-                planner="two-level", injector=injector,
-                workload=workload, config=config_name, target=target,
-                planned_n=n, actual_n=total,
-                savings=plan["savings"],
-                margin_attained=plan["margin_attained"],
-                target_margin=target_margin,
-                estimate=plan["estimate"])
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("planner.injections_planned").inc(n)
-        registry.counter("planner.injections_spent").inc(total)
-        registry.counter("planner.injections_saved").inc(
-            max(0, n - total))
-    if use_cache:
-        atomic_write_text(path, json.dumps(campaign.to_json()))
-    campaign_mod._write_profile_sidecar(campaign, path)
-    return campaign
+    return campaign_mod.run_enveloped(
+        sample, workload, config_name, injector=injector,
+        structure=structure, model=model, n=n, seed=seed,
+        hardened=hardened, prefer_live=prefer_live, use_cache=use_cache,
+        population=population, fastpath=fastpath, planner="two-level",
+        target_margin=target_margin, batch=batch)
 
 
 def planner_table(campaigns: list) -> list:

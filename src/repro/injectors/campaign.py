@@ -380,14 +380,16 @@ def _campaign_path(meta: tuple) -> "os.PathLike":
 
 def _campaign_meta(injector: str, workload: str, config_name: str,
                    structure: "str | None", model: str, n: int,
-                   seed: int, hardened: bool,
-                   prefer_live: bool) -> tuple:
-    """The cache key tuple for a naive fixed-``n`` campaign.
+                   seed: int, hardened: bool, prefer_live: bool,
+                   planner: "str | None" = None,
+                   target_margin: "float | None" = None,
+                   batch: "int | None" = None) -> tuple:
+    """The cache key tuple of every campaign, naive or planned.
 
-    Shared by :func:`run_campaign` and the job service
-    (:mod:`repro.service.queue`), which dedups submissions against
-    the sidecar this key maps to — both must derive the exact same
-    path or the dedup silently re-simulates.
+    The only place a key is built: :func:`run_campaign`, the planner
+    and the job service (:mod:`repro.service`) all reach their
+    sidecar through it.  The tuples are part of every cached path:
+    reordering one orphans the warm caches.
     """
     from . import golden as golden_mod
     from .golden import config_digest, workload_digest
@@ -397,9 +399,24 @@ def _campaign_meta(injector: str, workload: str, config_name: str,
     digest = (workload_digest(workload, cfg.isa, hardened)
               + config_digest(cfg))
     schema = golden_mod.CACHE_SCHEMA_VERSION
+    if injector == "gefin" and structure is None:
+        raise ValueError("gefin campaigns need a structure")
+    if planner not in (None, "naive"):
+        from ..core import planner as planning
+
+        if planner not in planning.PLANNERS:
+            raise ValueError(f"unknown planner {planner!r}")
+        target = structure if injector == "gefin" else model \
+            if injector == "pvf" else "-"
+        if target_margin is None:
+            target_margin = planning.DEFAULT_TARGET_MARGIN
+        return (f"planned-{injector}", workload, config_name, target, n,
+                seed, hardened, prefer_live, round(target_margin, 9),
+                round(planning.PLAN_CONFIDENCE, 9),
+                planning.DEFAULT_BATCH if batch is None else batch,
+                planning.PLAN_PHASES, planning.PLAN_REGIONS, digest,
+                schema)
     if injector == "gefin":
-        if structure is None:
-            raise ValueError("gefin campaigns need a structure")
         return ("gefin", workload, config_name, structure, n, seed,
                 hardened, prefer_live, digest, schema)
     if injector == "pvf":
@@ -414,9 +431,14 @@ def campaign_cache_path(workload: str, config: "MicroarchConfig | str",
                         structure: str | None = None,
                         model: str = "WD", n: int = 200, seed: int = 1,
                         hardened: bool = False,
-                        prefer_live: bool = True) -> "os.PathLike":
+                        prefer_live: bool = True,
+                        planner: str | None = None,
+                        target_margin: float | None = None,
+                        batch: int | None = None) -> "os.PathLike":
     """The sidecar path :func:`run_campaign` reads/writes for these
-    axes (naive campaigns; planner campaigns key their own store).
+    axes, planned campaigns included (``None`` *target_margin* and
+    *batch* resolve to the planner defaults, as in
+    :func:`run_campaign`).
 
     Computing the path never simulates — it hashes the workload
     image and config geometry only — so callers can probe the cache
@@ -426,10 +448,10 @@ def campaign_cache_path(workload: str, config: "MicroarchConfig | str",
     config_name = config if isinstance(config, str) else config.name
     return _campaign_path(_campaign_meta(
         injector, workload, config_name, structure, model, n, seed,
-        hardened, prefer_live))
+        hardened, prefer_live, planner, target_margin, batch))
 
 
-def _load_cached_campaign(path, schema: int) -> "CampaignResult | None":
+def load_cached_campaign(path) -> "CampaignResult | None":
     """Load one campaign sidecar, unlinking stale/corrupt entries.
 
     An entry whose stored ``schema`` stamp differs from the current
@@ -437,11 +459,13 @@ def _load_cached_campaign(path, schema: int) -> "CampaignResult | None":
     by a different engine schema and is removed so the campaign
     recomputes (PR-4 invalidation discipline).
     """
+    from . import golden as golden_mod
+
     if not path.exists():
         return None
     try:
         data = json.loads(path.read_text())
-        if data.get("schema") != schema:
+        if data.get("schema") != golden_mod.CACHE_SCHEMA_VERSION:
             raise ValueError("stale campaign cache schema")
         return CampaignResult.from_json(data)
     except (ValueError, TypeError, KeyError, OSError):
@@ -482,6 +506,88 @@ def default_workers(n: int) -> int:
     return min(os.cpu_count() or 1, 8)
 
 
+def run_enveloped(sample, workload: str, config_name: str, *,
+                  injector: str, structure: "str | None", model: str,
+                  n: int, seed: int, hardened: bool, prefer_live: bool,
+                  use_cache: bool, population: "float | None",
+                  fastpath: "bool | None", planner: "str | None" = None,
+                  target_margin: "float | None" = None,
+                  batch: "int | None" = None) -> CampaignResult:
+    """Run (or load) one campaign whose runs *sample* chooses.
+
+    Everything but the choice of runs is shared by every sampling
+    strategy: the cache key and lookup, golden data, the occupancy
+    weight, the :class:`CampaignResult`, its ``campaign_summary`` and
+    metrics records, and the sidecars.  *sample* is called as
+    ``sample(golden, target, weight, task, path, events, registry)``
+    — ``task(run)`` builds the :func:`run_task` tuple of one run —
+    and returns ``(results, plan, checkpoint_dir)``: the ``plan``
+    record (``None`` for naive campaigns) and the shard checkpoints
+    to clear once the sidecar is written (``None`` for none).
+    """
+    from ..uarch.snapshot import fastpath_enabled
+
+    path = _campaign_path(_campaign_meta(
+        injector, workload, config_name, structure, model, n, seed,
+        hardened, prefer_live, planner, target_margin, batch))
+    if use_cache:
+        campaign = load_cached_campaign(path)
+        if campaign is not None:
+            if population is not None:
+                campaign.population = population
+            _write_profile_sidecar(campaign, path)
+            return campaign
+
+    use_fastpath = fastpath_enabled(fastpath)
+    golden = prepare_golden(injector, workload, config_name, hardened,
+                            use_fastpath)
+    target = (structure if injector == "gefin"
+              else model if injector == "pvf" else None)
+    weight = (golden.occupancy.get(structure, 1.0)
+              if injector == "gefin" and prefer_live else 1.0)
+
+    def task(run) -> tuple:
+        return (injector, workload, config_name, target, seed, run,
+                hardened, prefer_live, use_fastpath)
+
+    events = EventLog.resolve(default=cache_dir() / "events.jsonl")
+    # The process-wide default, so serial-path pipeline metrics land in
+    # the same snapshot as the campaign/engine series.
+    registry = get_registry()
+    wall_started = time.monotonic()
+    results, plan, checkpoint_dir = sample(golden, target, weight, task,
+                                           path, events, registry)
+    elapsed = time.monotonic() - wall_started
+
+    campaign = CampaignResult(
+        injector=injector, workload=workload, config_name=config_name,
+        n=n, seed=seed,
+        structure=structure if injector == "gefin" else None,
+        model=model if injector == "pvf" else None,
+        hardened=hardened, occupancy_weight=weight,
+        population=population,
+        t_max=(golden.cycles if injector == "gefin"
+               else float(max(1, golden.instructions))),
+        results=results, plan=plan,
+    )
+    events.emit("campaign_summary", campaign=path.stem,
+                **_summary_fields(campaign, elapsed))
+    if registry.enabled:
+        _record_campaign_metrics(registry, campaign, elapsed)
+        snapshot = registry.snapshot()
+        events.emit("metrics_snapshot", campaign=path.stem,
+                    metrics=snapshot)
+        # "metrics-" prefix: must never match the campaign-*.json globs
+        # used for cache scans and resume
+        atomic_write_text(cache_dir() / f"metrics-{path.stem}.json",
+                          json.dumps(snapshot, indent=2))
+    if use_cache:
+        atomic_write_text(path, json.dumps(campaign.to_json()))
+        clear_checkpoints(checkpoint_dir)
+    _write_profile_sidecar(campaign, path)
+    return campaign
+
+
 def run_campaign(workload: str, config: "MicroarchConfig | str",
                  injector: str = "gefin", structure: str | None = None,
                  model: str = "WD", n: int = 200, seed: int = 1,
@@ -503,7 +609,9 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
     the abstraction layer (``gefin`` = microarchitectural AVF/HVF,
     ``pvf`` = architecture level, ``svf`` = LLFI-style software
     level); *structure* is required for ``gefin``; *model* selects the
-    PVF fault-propagation model.
+    PVF fault-propagation model.  Every campaign, planned or not, is
+    keyed by one cache-key function; :func:`campaign_cache_path`
+    gives its sidecar path from the same axes.
 
     Execution goes through the sharded engine
     (:mod:`repro.injectors.engine`): runs are split into
@@ -543,19 +651,16 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
 
     *cancel* (a :class:`threading.Event`) requests cooperative
     cancellation: the sharded engine checks it at shard boundaries
-    and raises
+    (a planned campaign's at batch boundaries) and raises
     :class:`~repro.injectors.engine.ExecutionCancelled`, leaving the
     completed-shard checkpoints in place (and the sidecar unwritten)
-    so a later identical call resumes byte-identically.  Naive
-    campaigns only; planner runs ignore it.
+    so a later identical call resumes byte-identically.
     """
-    if planner not in (None, "naive"):
+    if planner == "two-level":
         from ..core.planner import (DEFAULT_BATCH,
-                                    DEFAULT_TARGET_MARGIN, PLANNERS,
+                                    DEFAULT_TARGET_MARGIN,
                                     run_planned_campaign)
 
-        if planner not in PLANNERS:
-            raise ValueError(f"unknown planner {planner!r}")
         return run_planned_campaign(
             workload, config, injector=injector, structure=structure,
             model=model, n=n, seed=seed,
@@ -565,122 +670,76 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
             hardened=hardened, prefer_live=prefer_live,
             use_cache=use_cache, workers=workers,
             population=population, progress=progress,
-            fastpath=fastpath)
+            fastpath=fastpath, cancel=cancel)
     config_name = config if isinstance(config, str) else config.name
 
-    from ..uarch.snapshot import fastpath_enabled
-    from . import golden as golden_mod
+    def sample(golden, target, weight, task, path, events, registry):
+        from ..uarch.batch import resolve_batch_lanes
 
-    use_fastpath = fastpath_enabled(fastpath)
-    schema = golden_mod.CACHE_SCHEMA_VERSION
-    meta = _campaign_meta(injector, workload, config_name, structure,
-                          model, n, seed, hardened, prefer_live)
-    path = _campaign_path(meta)
-    if use_cache:
-        campaign = _load_cached_campaign(path, schema)
-        if campaign is not None:
-            if population is not None:
-                campaign.population = population
-            _write_profile_sidecar(campaign, path)
-            return campaign
+        lanes = resolve_batch_lanes(batch_lanes)
+        lane_groups = None
+        if lanes >= 2 and injector in ("pvf", "svf") and n:
+            from .batch import plan_lane_groups
 
-    golden = prepare_golden(injector, workload, config_name, hardened,
-                            use_fastpath)
-    target = (structure if injector == "gefin"
-              else model if injector == "pvf" else None)
-    weight = (golden.occupancy.get(structure, 1.0)
-              if injector == "gefin" and prefer_live else 1.0)
-    from ..uarch.batch import resolve_batch_lanes
-    lanes = resolve_batch_lanes(batch_lanes)
-    lane_groups = None
-    if lanes >= 2 and injector in ("pvf", "svf") and n:
-        from .batch import plan_lane_groups
+            lane_groups = plan_lane_groups(
+                injector, n, lanes, workload=workload,
+                config_name=config_name, seed=seed, golden=golden,
+                model=target)
+        runs = range(n) if lane_groups is None else lane_groups
+        tasks = [task(run) for run in runs]
+        worker = run_task if lane_groups is None else _one_batch
 
-        lane_groups = plan_lane_groups(
-            injector, n, lanes, workload=workload,
-            config_name=config_name, seed=seed, golden=golden,
-            model=target)
-    runs = range(n) if lane_groups is None else lane_groups
-    tasks = [(injector, workload, config_name, target, seed, run,
-              hardened, prefer_live, use_fastpath) for run in runs]
-    worker = run_task if lane_groups is None else _one_batch
+        n_workers = (workers if workers is not None
+                     else default_workers(n))
+        label = (f"{injector}:{workload}@{config_name}"
+                 + (f"/{target}" if target else ""))
+        reporter = (ProgressReporter(len(tasks), label=label)
+                    if progress_enabled(progress) else None)
+        if lanes >= 2 and injector == "gefin":
+            # the pipeline engine has no batched mode; record the
+            # fallback
+            if registry.enabled:
+                registry.counter(BATCH_FALLBACKS).inc()
+            events.emit("batch_fallback", campaign=path.stem,
+                        injector=injector, lanes=lanes)
+        # Batched shards carry a lane group per task, so their
+        # checkpoint layout is incompatible with scalar shards of the
+        # same campaign: keep them in a distinct directory.
+        stem = (path.stem if lane_groups is None
+                else f"{path.stem}-l{lanes}")
+        checkpoint_dir = (cache_dir() / "shards" / stem
+                          if use_cache else None)
+        if lane_groups is None:
+            encode = asdict
+            decode = _decode_one
+            outcome_key = _result_outcome
+        else:
+            encode = _encode_many
+            decode = _decode_many
+            outcome_key = None
+        results = run_sharded(
+            worker, tasks, workers=n_workers, shard_size=shard_size,
+            checkpoint_dir=checkpoint_dir,
+            encode=encode,
+            decode=decode,
+            events=events, progress=reporter,
+            outcome_key=outcome_key,
+            label=path.stem,
+            metrics=registry if registry.enabled else None,
+            repro_dir=cache_dir() / "repros",
+            stop_event=cancel)
+        if lane_groups is not None:
+            # flatten lane groups back into campaign index order;
+            # results are then bit-for-bit the scalar campaign's
+            flat = [None] * n
+            for group, group_results in zip(lane_groups, results):
+                for index, result in zip(group, group_results):
+                    flat[index] = result
+            results = flat
+        return results, None, checkpoint_dir
 
-    n_workers = workers if workers is not None else default_workers(n)
-    label = (f"{injector}:{workload}@{config_name}"
-             + (f"/{target}" if target else ""))
-    reporter = (ProgressReporter(len(tasks), label=label)
-                if progress_enabled(progress) else None)
-    events = EventLog.resolve(default=cache_dir() / "events.jsonl")
-    # The process-wide default, so serial-path pipeline metrics land in
-    # the same snapshot as the campaign/engine series.
-    registry = get_registry()
-    if lanes >= 2 and injector == "gefin":
-        # the pipeline engine has no batched mode; record the fallback
-        if registry.enabled:
-            registry.counter(BATCH_FALLBACKS).inc()
-        events.emit("batch_fallback", campaign=path.stem,
-                    injector=injector, lanes=lanes)
-    # Batched shards carry a lane group per task, so their checkpoint
-    # layout is incompatible with scalar shards of the same campaign:
-    # keep them in a distinct directory.
-    stem = path.stem if lane_groups is None else f"{path.stem}-l{lanes}"
-    checkpoint_dir = (cache_dir() / "shards" / stem
-                      if use_cache else None)
-
-    wall_started = time.monotonic()
-    if lane_groups is None:
-        encode = asdict
-        decode = _decode_one
-        outcome_key = _result_outcome
-    else:
-        encode = _encode_many
-        decode = _decode_many
-        outcome_key = None
-    results = run_sharded(
-        worker, tasks, workers=n_workers, shard_size=shard_size,
-        checkpoint_dir=checkpoint_dir,
-        encode=encode,
-        decode=decode,
-        events=events, progress=reporter,
-        outcome_key=outcome_key,
-        label=path.stem,
-        metrics=registry if registry.enabled else None,
-        repro_dir=cache_dir() / "repros",
-        stop_event=cancel)
-    if lane_groups is not None:
-        # flatten lane groups back into campaign index order; results
-        # are then bit-for-bit the scalar campaign's
-        flat = [None] * n
-        for group, group_results in zip(lane_groups, results):
-            for index, result in zip(group, group_results):
-                flat[index] = result
-        results = flat
-    elapsed = time.monotonic() - wall_started
-
-    campaign = CampaignResult(
-        injector=injector, workload=workload, config_name=config_name,
-        n=n, seed=seed,
-        structure=structure if injector == "gefin" else None,
-        model=model if injector == "pvf" else None,
-        hardened=hardened, occupancy_weight=weight,
-        population=population,
-        t_max=(golden.cycles if injector == "gefin"
-               else float(max(1, golden.instructions))),
-        results=results,
-    )
-    events.emit("campaign_summary", campaign=path.stem,
-                **_summary_fields(campaign, elapsed))
-    if registry.enabled:
-        _record_campaign_metrics(registry, campaign, elapsed)
-        snapshot = registry.snapshot()
-        events.emit("metrics_snapshot", campaign=path.stem,
-                    metrics=snapshot)
-        # "metrics-" prefix: must never match the campaign-*.json globs
-        # used for cache scans and resume
-        atomic_write_text(cache_dir() / f"metrics-{path.stem}.json",
-                          json.dumps(snapshot, indent=2))
-    if use_cache:
-        atomic_write_text(path, json.dumps(campaign.to_json()))
-        clear_checkpoints(checkpoint_dir)
-    _write_profile_sidecar(campaign, path)
-    return campaign
+    return run_enveloped(
+        sample, workload, config_name, injector=injector,
+        structure=structure, model=model, n=n, seed=seed,
+        hardened=hardened, prefer_live=prefer_live, use_cache=use_cache,
+        population=population, fastpath=fastpath, planner=planner)

@@ -81,6 +81,13 @@ TRANSITIONS = {
 GEFIN_STRUCTURES = ("RF", "LSQ", "L1I", "L1D", "L2")
 PVF_MODELS = ("WD", "WOI", "WI")
 
+#: the request keys: exactly the campaign axes
+#: :func:`~repro.injectors.campaign.run_campaign` and
+#: :func:`~repro.injectors.campaign.campaign_cache_path` take
+CAMPAIGN_AXES = ("workload", "config", "injector", "structure", "model",
+                 "n", "seed", "hardened", "prefer_live", "planner",
+                 "target_margin", "batch")
+
 #: per-job run ceiling: a single submission may not book more than
 #: this many injections (service-level sanity cap, not a statistics
 #: statement)
@@ -120,10 +127,7 @@ def canonical_request(raw: dict) -> dict:
 
     if not isinstance(raw, dict):
         raise InvalidRequest("request body must be a JSON object")
-    known = {"workload", "config", "injector", "structure", "model",
-             "n", "seed", "hardened", "prefer_live", "planner",
-             "target_margin", "batch"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(CAMPAIGN_AXES)
     if unknown:
         raise InvalidRequest(
             f"unknown request keys: {sorted(unknown)}")
@@ -230,31 +234,25 @@ def request_label(request: dict) -> str:
             + ("+ft" if request.get("hardened") else ""))
 
 
+def campaign_kwargs(request: dict) -> dict:
+    """The keyword arguments a canonical request names, for
+    :func:`~repro.injectors.campaign.run_campaign` and
+    :func:`~repro.injectors.campaign.campaign_cache_path` alike."""
+    return {axis: request[axis] for axis in CAMPAIGN_AXES}
+
+
 def cached_sidecar(request: dict) -> "Path | None":
     """The fresh ``campaign-*.json`` sidecar for *request*, if any.
 
     Probes the exact content-addressed path :func:`run_campaign`
-    uses; a hit means the service can answer without simulating.
-    Planner requests key their own store and are never dedup'd here.
+    uses, through the loader it uses: a hit means the service can
+    answer without simulating.
     """
-    if request.get("planner"):
-        return None
-    from ..injectors.campaign import campaign_cache_path
-    from ..injectors.golden import CACHE_SCHEMA_VERSION
+    from ..injectors.campaign import (campaign_cache_path,
+                                      load_cached_campaign)
 
-    path = Path(campaign_cache_path(
-        request["workload"], request["config"],
-        injector=request["injector"], structure=request["structure"],
-        model=request["model"] or "WD", n=request["n"],
-        seed=request["seed"], hardened=request["hardened"],
-        prefer_live=request["prefer_live"]))
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if data.get("schema") != CACHE_SCHEMA_VERSION:
-        return None
-    return path
+    path = Path(campaign_cache_path(**campaign_kwargs(request)))
+    return path if load_cached_campaign(path) is not None else None
 
 
 # ---------------------------------------------------------------------------

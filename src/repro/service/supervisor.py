@@ -32,7 +32,7 @@ import time
 
 from ..injectors.engine import ExecutionCancelled, _backoff
 from ..uarch.exceptions import ContainmentError
-from .queue import JobQueue
+from .queue import JobQueue, campaign_kwargs
 
 __all__ = ["Supervisor", "run_job_campaign"]
 
@@ -42,50 +42,22 @@ def run_job_campaign(request: dict, *, cancel=None,
     """Execute one canonical job request as a campaign.
 
     Returns ``(campaign_stem, CampaignResult)``; the stem is the
-    sidecar name the result landed under (``None`` for planner jobs,
-    which key their own store).  This is the supervisor's default
-    runner — tests swap in fakes to exercise the lifecycle without
-    simulating.
+    sidecar name the result landed under.  This is the supervisor's
+    default runner — tests swap in fakes to exercise the lifecycle
+    without simulating.
     """
-    from ..injectors.campaign import campaign_cache_path, run_campaign
+    from ..injectors.campaign import run_campaign
 
-    campaign = run_campaign(
-        request["workload"], request["config"],
-        injector=request["injector"],
-        structure=request["structure"],
-        model=request["model"] or "WD",
-        n=request["n"], seed=request["seed"],
-        hardened=request["hardened"],
-        prefer_live=request["prefer_live"],
-        planner=request["planner"],
-        target_margin=request["target_margin"],
-        batch=request["batch"],
-        workers=workers, progress=False, cancel=cancel)
-    stem = None
-    if not request["planner"]:
-        stem = campaign_cache_path(
-            request["workload"], request["config"],
-            injector=request["injector"],
-            structure=request["structure"],
-            model=request["model"] or "WD",
-            n=request["n"], seed=request["seed"],
-            hardened=request["hardened"],
-            prefer_live=request["prefer_live"]).stem
-    return stem, campaign
+    campaign = run_campaign(**campaign_kwargs(request), workers=workers,
+                            progress=False, cancel=cancel)
+    return job_campaign_stem(request), campaign
 
 
-def job_campaign_stem(request: dict) -> "str | None":
-    """The sidecar stem a naive job will write, known before it runs."""
-    if request.get("planner"):
-        return None
+def job_campaign_stem(request: dict) -> str:
+    """The sidecar stem a job will write, known before it runs."""
     from ..injectors.campaign import campaign_cache_path
 
-    return campaign_cache_path(
-        request["workload"], request["config"],
-        injector=request["injector"], structure=request["structure"],
-        model=request["model"] or "WD", n=request["n"],
-        seed=request["seed"], hardened=request["hardened"],
-        prefer_live=request["prefer_live"]).stem
+    return campaign_cache_path(**campaign_kwargs(request)).stem
 
 
 class _Active:

@@ -206,6 +206,24 @@ class TestPlannedCampaign:
             run_campaign(WORKLOAD, CONFIG, structure="RF", n=4,
                          planner="bogus")
 
+    def test_cancel_stops_before_sidecar(self, tmp_path, monkeypatch):
+        """A set cancel event stops a planned campaign at its first
+        batch boundary, as it stops a naive one; no sidecar lands."""
+        import threading
+
+        from repro.injectors.campaign import campaign_cache_path
+        from repro.injectors.engine import ExecutionCancelled
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cancel = threading.Event()
+        cancel.set()
+        kwargs = dict(injector="svf", n=16, seed=5,
+                      planner="two-level", target_margin=0.2)
+        with pytest.raises(ExecutionCancelled):
+            run_campaign(WORKLOAD, CONFIG, cancel=cancel, **kwargs)
+        assert not campaign_cache_path(WORKLOAD, CONFIG,
+                                       **kwargs).exists()
+
     def test_schema_invalidates_stale_plan_sidecar(self, tmp_path,
                                                    monkeypatch):
         """Schema-4 invalidation: a planned sidecar written under a

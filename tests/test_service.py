@@ -279,6 +279,29 @@ class TestSidecarDedup:
         assert data["workload"] == "crc32"
         assert len(data["results"]) == len(baseline.results)
 
+    def test_cached_planned_campaign_dedups(self, tmp_path,
+                                            monkeypatch):
+        """A two-level request is keyed like a naive one: its
+        existing sidecar answers the submission, born done."""
+        from repro.injectors.campaign import (campaign_cache_path,
+                                              run_campaign)
+        from repro.service.supervisor import job_campaign_stem
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        axes = dict(injector="svf", n=16, seed=5, planner="two-level",
+                    target_margin=0.2)
+        run_campaign("crc32", "cortex-a72", workers=1, progress=False,
+                     **axes)
+        stem = campaign_cache_path("crc32", "cortex-a72", **axes).stem
+        assert stem.startswith("campaign-planned-svf-crc32-")
+
+        raw = _request(**axes)
+        job, created = JobQueue(tmp_path / "jobs").submit(raw)
+        assert created
+        assert job.state == "done" and job.cached
+        assert job.campaign == stem
+        assert job_campaign_stem(canonical_request(raw)) == stem
+
     def test_uncached_request_queues_normally(self, tmp_path):
         queue = JobQueue(tmp_path)
         job, _ = queue.submit(_request(seed=987654))
