@@ -87,6 +87,14 @@ def _add_planner_flags(parser, with_batch: bool = False) -> None:
                                  "sequential batch (default 16)")
 
 
+def _add_fastpath_flag(parser) -> None:
+    parser.add_argument("--no-fastpath", dest="use_fastpath",
+                        action="store_const", const=False, default=None,
+                        help="disable the checkpoint fast path and "
+                             "simulate every run from reset (default: "
+                             "REPRO_FASTPATH, on)")
+
+
 def _add_progress_flags(parser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--progress", action="store_true",
@@ -194,7 +202,7 @@ def _cmd_campaign(args) -> int:
         seed=args.seed, hardened=args.hardened,
         use_cache=not args.no_cache,
         progress=_progress_flag(args),
-        fastpath=args.fastpath,
+        fastpath=args.use_fastpath,
         planner=args.planner, target_margin=args.target_margin,
         batch=args.batch, batch_lanes=args.batch_lanes)
     print(campaign.summary())
@@ -415,17 +423,14 @@ def _cmd_fit(args) -> int:
 def _cmd_study(args) -> int:
     from .core.study import CrossLayerStudy, StudyScale
 
-    if args.fastpath is False:
-        # CrossLayerStudy fans out over run_campaign internally; the
-        # env override reaches every campaign it spawns
-        os.environ["REPRO_FASTPATH"] = "0"
     workloads = args.workloads.split(",")
     scale = StudyScale(n_avf=args.n_avf, n_pvf=args.n_pvf,
                        n_svf=args.n_svf, seed=args.seed)
     study = CrossLayerStudy(workloads, args.config, scale,
                             progress=_progress_flag(args),
                             planner=args.planner,
-                            target_margin=args.target_margin)
+                            target_margin=args.target_margin,
+                            fastpath=args.use_fastpath)
     methods = args.methods.split(",")
     rows = []
     for workload in workloads:
@@ -529,11 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("WD", "WOI", "WI"))
     p.add_argument("-n", type=int, default=100)
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--no-fastpath", dest="fastpath",
-                   action="store_const", const=False, default=None,
-                   help="disable the checkpoint fast path and "
-                        "simulate every run from reset (default: "
-                        "REPRO_FASTPATH, on)")
+    _add_fastpath_flag(p)
     p.add_argument("--batch-lanes", type=int, default=None,
                    metavar="N",
                    help="pack up to N pvf/svf runs per bit-parallel "
@@ -707,11 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-pvf", type=int, default=80)
     p.add_argument("--n-svf", type=int, default=80)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--no-fastpath", dest="fastpath",
-                   action="store_const", const=False, default=None,
-                   help="disable the checkpoint fast path and "
-                        "simulate every run from reset (default: "
-                        "REPRO_FASTPATH, on)")
+    _add_fastpath_flag(p)
     _add_planner_flags(p)
     _add_progress_flags(p)
     p.set_defaults(func=_cmd_study)

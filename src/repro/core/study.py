@@ -60,21 +60,23 @@ class CrossLayerStudy:
                  hardened: bool = False,
                  progress: bool | None = None,
                  planner: str | None = None,
-                 target_margin: float | None = None) -> None:
+                 target_margin: float | None = None,
+                 fastpath: bool | None = None) -> None:
         self.workloads = tuple(workloads)
         self.config = (config_by_name(config) if isinstance(config, str)
                        else config)
         self.scale = scale or StudyScale.from_env()
         self.hardened = hardened
-        #: live per-campaign progress on stderr (None = REPRO_PROGRESS)
-        self.progress = progress
-        #: sampling strategy for every campaign the study runs:
-        #: ``None``/``"naive"`` = fixed-n, ``"two-level"`` = the
-        #: equivalence-class planner with sequential Wilson stopping
-        #: (see :mod:`repro.core.planner`); the scale's ``n`` then
-        #: acts as the naive-equivalent budget per cell
-        self.planner = planner
-        self.target_margin = target_margin
+        #: run_campaign options shared by every campaign the study
+        #: runs: live progress on stderr (None = REPRO_PROGRESS), the
+        #: sampling strategy (``None``/``"naive"`` = fixed-n,
+        #: ``"two-level"`` = the equivalence-class planner of
+        #: :mod:`repro.core.planner`, where the scale's ``n`` acts as
+        #: the naive-equivalent budget per cell) and the checkpoint
+        #: fast path (None = REPRO_FASTPATH)
+        self.campaign_options = {
+            "progress": progress, "planner": planner,
+            "target_margin": target_margin, "fastpath": fastpath}
 
     # ------------------------------------------------------------------
     # campaigns (cached on disk by run_campaign)
@@ -86,8 +88,7 @@ class CrossLayerStudy:
                 workload, self.config, injector="gefin",
                 structure=structure, n=self.scale.n_avf,
                 seed=self.scale.seed, hardened=self.hardened,
-                progress=self.progress, planner=self.planner,
-                target_margin=self.target_margin)
+                **self.campaign_options)
             for structure in STRUCTURES
         }
 
@@ -97,17 +98,13 @@ class CrossLayerStudy:
                             model=model, n=self.scale.n_pvf,
                             seed=self.scale.seed,
                             hardened=self.hardened,
-                            progress=self.progress,
-                            planner=self.planner,
-                            target_margin=self.target_margin)
+                            **self.campaign_options)
 
     def svf_campaign(self, workload: str) -> CampaignResult:
         return run_campaign(workload, self.config, injector="svf",
                             n=self.scale.n_svf, seed=self.scale.seed,
                             hardened=self.hardened,
-                            progress=self.progress,
-                            planner=self.planner,
-                            target_margin=self.target_margin)
+                            **self.campaign_options)
 
     # ------------------------------------------------------------------
     # derived quantities

@@ -4,10 +4,11 @@ The timing and functional models implement the same architecture, so
 on a fault-free run their *architectural* state must agree after every
 instruction: same PC trajectory, same register file contents, same
 final output and exit code.  The oracle checks exactly that, through
-the ``arch_probe`` hook both engines expose: the functional engine
-(``kernel="sim"``, the architectural reference) records a snapshot
-every *N* instructions, then the pipeline engine replays the program
-and each of its snapshots is compared on the fly.
+the observer ``hook`` both engines poll: polled every *N*
+instructions (and after a halting instruction on such a boundary),
+the functional engine (``kernel="sim"``, the architectural reference)
+records a snapshot, then the pipeline engine replays the program and
+each of its snapshots is compared on the fly.
 
 Any mismatch is a :class:`CosimDivergence` — either a genuine timing-
 model bug (architectural state computed differently out of order) or a
@@ -64,6 +65,18 @@ class CosimReport:
         return not self.divergences
 
 
+class _Every:
+    """Engine hook calling *fn(engine)* every *every* instructions."""
+
+    def __init__(self, every: int, fn) -> None:
+        self.every = self.next_check = every
+        self._fn = fn
+
+    def poll(self, engine) -> None:
+        self.next_check += self.every
+        self._fn(engine)
+
+
 def _arch_regs_functional(engine: FunctionalEngine) -> tuple:
     return tuple(engine.regs)
 
@@ -94,11 +107,10 @@ def cosim(workload: str, config_name: str, every: int = 64,
     func = FunctionalEngine(build_system_image(program), kernel="sim")
 
     def func_probe(engine: FunctionalEngine) -> None:
-        if engine.executed % every == 0:
-            reference[engine.executed] = (engine.ms.pc,
-                                          _arch_regs_functional(engine))
+        reference[engine.executed] = (engine.ms.pc,
+                                      _arch_regs_functional(engine))
 
-    func.arch_probe = func_probe
+    func.hook = _Every(every, func_probe)
     if perturb is not None:
         perturb(func)
     func_result = func.run()
@@ -107,8 +119,7 @@ def cosim(workload: str, config_name: str, every: int = 64,
     pipe = PipelineEngine(build_system_image(program), config)
 
     def pipe_probe(engine: PipelineEngine) -> None:
-        if engine.instructions % every or \
-                len(report.divergences) >= MAX_DIVERGENCES:
+        if len(report.divergences) >= MAX_DIVERGENCES:
             return
         report.snapshots += 1
         expected = reference.get(engine.instructions)
@@ -133,7 +144,7 @@ def cosim(workload: str, config_name: str, every: int = 64,
                 if len(report.divergences) >= MAX_DIVERGENCES:
                     break
 
-    pipe.arch_probe = pipe_probe
+    pipe.hook = _Every(every, pipe_probe)
     pipe_result = pipe.run()
     report.instructions = pipe.instructions
 

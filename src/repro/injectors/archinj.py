@@ -141,19 +141,20 @@ def run_one_pvf(workload: str, isa: str, action: FaultAction,
                 golden: GoldenRun,
                 hardened: bool = False, tracer=None,
                 fastpath: "bool | None" = None,
-                arch_probe=None) -> InjectionResult:
+                hook=None) -> InjectionResult:
     return run_functional("pvf", workload, isa, action, golden,
                           hardened=hardened, tracer=tracer,
-                          fastpath=fastpath, arch_probe=arch_probe)
+                          fastpath=fastpath, hook=hook)
 
 
 def run_functional(injector: str, workload: str, isa: str,
                    action: FaultAction, golden: GoldenRun,
                    hardened: bool = False, tracer=None,
                    fastpath: "bool | None" = None,
-                   arch_probe=None) -> InjectionResult:
-    """One pvf or svf run: build the image, attach the probe, schedule
-    the action, pick the fast path, run, then classify."""
+                   hook=None) -> InjectionResult:
+    """One pvf or svf run: build the image, schedule the action,
+    install the caller's *hook* or else pick the fast path, run, then
+    classify."""
     from ..uarch import snapshot
     from .golden import checkpoint_store
 
@@ -163,7 +164,7 @@ def run_functional(injector: str, workload: str, isa: str,
     image = build_system_image(program)
     engine = FunctionalEngine(image, kernel=kernel,
                               max_instructions=golden.max_instructions)
-    engine.arch_probe = arch_probe
+    engine.hook = hook
     engine.schedule(action)
     if tracer is not None:
         tracer.injected(float(action.when), origin)
@@ -171,7 +172,7 @@ def run_functional(injector: str, workload: str, isa: str,
         # landing and crossing coincide, with zero latent hardware phase
         tracer.crossed(float(action.when),
                        f"visible at birth via {origin}")
-    use_fastpath = (tracer is None and arch_probe is None
+    use_fastpath = (tracer is None and hook is None
                     and snapshot.fastpath_enabled(fastpath))
     try:
         if use_fastpath:

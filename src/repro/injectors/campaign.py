@@ -93,11 +93,10 @@ def draw_fault(injector: str, workload: str, config_name: str,
     raise ValueError(f"unknown injector {injector!r}")
 
 
-def run_task(task: tuple, tracer=None, arch_probe=None) \
-        -> InjectionResult:
+def run_task(task: tuple, tracer=None, hook=None) -> InjectionResult:
     """Run one campaign run from its task tuple ``(injector, workload,
     config_name, target, seed, index, hardened, prefer_live,
-    fastpath)``; *tracer* and *arch_probe* observe the replay."""
+    fastpath)``; *tracer* and the engine *hook* observe the replay."""
     (injector, workload, config_name, target, seed, index, hardened,
      prefer_live, fastpath) = task
     config = config_by_name(config_name)
@@ -108,12 +107,11 @@ def run_task(task: tuple, tracer=None, arch_probe=None) \
         if injector == "gefin":
             return run_one_injection(workload, config, fault, golden,
                                      hardened=hardened, tracer=tracer,
-                                     fastpath=fastpath,
-                                     arch_probe=arch_probe)
+                                     fastpath=fastpath, hook=hook)
         run = run_one_pvf if injector == "pvf" else run_one_svf
         return run(workload, config.isa, fault, golden,
                    hardened=hardened, tracer=tracer, fastpath=fastpath,
-                   arch_probe=arch_probe)
+                   hook=hook)
     except ContainmentError as exc:
         model = {"model": target} if injector == "pvf" else {}
         raise exc.with_context(seed=seed, index=index, **model)

@@ -86,14 +86,15 @@ def run_one_injection(workload: str, config: MicroarchConfig,
                       spec: FaultSpec, golden: GoldenRun,
                       hardened: bool = False, tracer=None,
                       fastpath: "bool | None" = None,
-                      arch_probe=None) -> InjectionResult:
+                      hook=None) -> InjectionResult:
     """Execute one microarchitectural fault injection.
 
     *tracer* (a :class:`repro.obs.tracing.FaultTracer`) records the
-    fault's propagation timeline; ``None`` keeps every hook a no-op.
-    *arch_probe* is installed as the engine's per-instruction probe
-    (see :mod:`repro.obs.trace_diff`); like a tracer, it observes the
-    whole run and therefore forces the scalar slow path.
+    fault's propagation timeline; ``None`` keeps every tracer call a
+    no-op.
+    *hook* is installed as the engine's observer (see
+    :mod:`repro.obs.trace_diff`); like a tracer, it observes the whole
+    run, so it takes the slot the fast path would use.
 
     *fastpath* selects the golden-fork checkpoint fast path (restore
     the nearest fault-free checkpoint before the injection cycle, and
@@ -115,8 +116,8 @@ def run_one_injection(workload: str, config: MicroarchConfig,
         max_cycles=golden.max_cycles,
         tracer=tracer,
     )
-    engine.arch_probe = arch_probe
-    use_fastpath = (tracer is None and arch_probe is None
+    engine.hook = hook
+    use_fastpath = (tracer is None and hook is None
                     and snapshot.fastpath_enabled(fastpath))
     try:
         if use_fastpath:

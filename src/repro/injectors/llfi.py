@@ -46,7 +46,7 @@ def run_one_svf(workload: str, isa: str, action: FaultAction,
                 golden: GoldenRun,
                 hardened: bool = False, tracer=None,
                 fastpath: "bool | None" = None,
-                arch_probe=None) -> InjectionResult:
+                hook=None) -> InjectionResult:
     return run_functional("svf", workload, isa, action, golden,
                           hardened=hardened, tracer=tracer,
-                          fastpath=fastpath, arch_probe=arch_probe)
+                          fastpath=fastpath, hook=hook)

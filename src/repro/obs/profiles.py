@@ -2,14 +2,14 @@
 
 Two complementary views back the ``repro dashboard`` verb:
 
-* **Residency profiles** — a :class:`ResidencyProfiler` attached to
-  the pipeline engine samples occupancy and bit-region liveness of
-  the ROB, IQ, RF, LSQ and caches every ``every`` committed
-  instructions, bucketed into ``n_phases`` program-phase windows.
-  The profiler is strictly read-only (it never perturbs simulation
-  state), is gated by ``REPRO_PROFILE`` following the
-  :mod:`repro.obs.metrics` design (default off, zero hot-loop cost
-  when detached), and its output is written as ``profile-*.json``
+* **Residency profiles** — a :class:`ResidencyProfiler` in the
+  pipeline engine's observer ``hook`` samples occupancy and
+  bit-region liveness of the ROB, IQ, RF, LSQ and caches every
+  ``every`` committed instructions, bucketed into ``n_phases``
+  program-phase windows.  The profiler is strictly read-only (it
+  never perturbs simulation state), is gated by ``REPRO_PROFILE``
+  following the :mod:`repro.obs.metrics` design (default off, zero
+  hot-loop cost when detached), and its output is written as ``profile-*.json``
   sidecars next to the campaign caches.  One profiled *golden* run
   per (workload, config, hardened) suffices — residency is a
   property of the fault-free execution, so campaign results stay
@@ -81,12 +81,14 @@ def region_label(region: int, width: int, n_regions: int) -> str:
 class ResidencyProfiler:
     """Samples structure occupancy/liveness from a running pipeline.
 
-    Attach via ``engine.profiler = profiler`` before ``run()``; the
-    engine calls :meth:`sample` every ``every`` committed
-    instructions.  All reads are non-destructive.  Cache liveness is
-    estimated by scanning one set per sample round-robin, so a sample
-    costs O(n_phys + lsq_size + 3*assoc) — cheap enough to hold the
-    <5% overhead gate in ``bench_perf_obs_overhead.py``.
+    Attach as the engine's observer (``engine.hook = profiler``)
+    before ``run()``; the engine polls it every ``every`` committed
+    instructions, including after a halting instruction that lands on
+    such a boundary, and each poll takes one sample.  All reads are
+    non-destructive.  Cache liveness is estimated by scanning one set
+    per sample round-robin, so a sample costs O(n_phys + lsq_size +
+    3*assoc) — cheap enough to hold the <5% overhead gate in
+    ``bench_perf_obs_overhead.py``.
     """
 
     def __init__(self, config, t_max: float,
@@ -98,6 +100,7 @@ class ResidencyProfiler:
         self.n_phases = n_phases
         self.n_regions = n_regions
         self.every = every
+        self.next_check = every
         self.samples = 0
         # (structure, phase) -> [occupancy_sum, sample_count]
         self._occ: dict = {}
@@ -106,7 +109,8 @@ class ResidencyProfiler:
         self._scan = {"L1I": 0, "L1D": 0, "L2": 0}
 
     # -- hot path ------------------------------------------------------
-    def sample(self, engine) -> None:
+    def poll(self, engine) -> None:
+        self.next_check += self.every
         self.samples += 1
         n_regions = self.n_regions
         phase = phase_of(engine.fetch_time, self.t_max, self.n_phases)
@@ -298,7 +302,7 @@ def profile_golden_run(workload: str, config_name: str,
     profiler = ResidencyProfiler(config, t_max=golden.cycles,
                                  n_phases=n_phases,
                                  n_regions=n_regions, every=every)
-    engine.profiler = profiler
+    engine.hook = profiler
     result = engine.run()
     if result.output != golden.output:
         raise RuntimeError(

@@ -3,15 +3,15 @@
 :mod:`repro.obs.tracing` tells the flip's life story in four coarse
 events; this module records the *state* story.  One capture runs the
 faulty simulation (through the exact campaign ``(seed, index)`` replay
-of :func:`repro.obs.tracing.trace_run`) with an ``arch_probe``
-recorder attached, keeping a bounded window of architectural snapshots
-around the injection and the first crossing, then replays the same
-window on a fault-free engine — restored from the golden-fork
-checkpoint store when one is warm, so the golden pass costs a few
-dozen steps instead of a full run — and emits per-step *diff frames*:
-changed registers (old -> new), PC, the touched memory word, pipeline
-structure deltas on the microarchitectural engine, and phase /
-kernel-mode annotations.
+of :func:`repro.obs.tracing.trace_run`) with a recorder as the
+engine's ``hook``, polled after every step, keeping a bounded window
+of architectural snapshots around the injection and the first
+crossing, then replays the same window on a fault-free engine —
+restored from the golden-fork checkpoint store when one is warm, so
+the golden pass costs a few dozen steps instead of a full run — and
+emits per-step *diff frames*: changed registers (old -> new), PC, the
+touched memory word, pipeline structure deltas on the
+microarchitectural engine, and phase / kernel-mode annotations.
 
 Frames are self-contained: each carries the full golden register file
 plus the sparse faulty diff, so replaying the diff onto the golden
@@ -118,17 +118,21 @@ def _functional_state(engine, step: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# faulty-pass recorders (arch_probe hooks; must NEVER raise — the run
+# faulty-pass recorders (engine hooks; must NEVER raise — the run
 # loops wrap any exception in a ContainmentError)
 # ---------------------------------------------------------------------------
+#: ``next_check`` of a recorder whose windows have drained
+_DONE = float("inf")
+
+
 class _FunctionalRecorder:
     """Windowed snapshot recorder for the functional engines.
 
     Architectural (pvf/svf) faults cross at birth, so both anchors
-    coincide on the step their action fires.  The hot path is a single
-    ``executed`` compare until the trigger counter comes within
-    ``before`` of firing; only then does the pre-context ring start
-    paying for snapshots.
+    coincide on the step their action fires.  The engine does not poll
+    the recorder until the trigger counter can come within ``before``
+    of firing; only then does the pre-context ring start paying for
+    snapshots.
     """
 
     def __init__(self, before: int, after: int) -> None:
@@ -140,19 +144,17 @@ class _FunctionalRecorder:
         self._ring_done = False
         self._armed = False
         self._record_until = -1
-        self._done = False
-        self._skip_below: "int | None" = None
+        self.next_check = 1
 
-    def __call__(self, engine) -> None:
-        if self._done:
-            return
-        if self._skip_below is None:
-            # trigger counters never outrun `executed`, so this is a
-            # safe constant-time skip for the bulk of the run
+    def poll(self, engine) -> None:
+        if self.next_check == 1:
+            # first poll: trigger counters never outrun `executed`, so
+            # nothing can arm before the earliest trigger draws near
             whens = [a.when for a in engine._actions] or [0]
-            self._skip_below = max(0, min(whens) - self.before)
-        if engine.executed <= self._skip_below:
-            return
+            self.next_check = max(0, min(whens) - self.before) + 1
+            if engine.executed < self.next_check:
+                return
+        self.next_check = engine.executed + 1
         step = engine.executed - 1
         if not self._armed:
             counters = engine._counters
@@ -181,7 +183,7 @@ class _FunctionalRecorder:
             if step <= self._record_until:
                 self.frames[step] = _functional_state(engine, step)
             else:
-                self._done = True
+                self.next_check = _DONE
                 engine.watch_mem = False
             engine.last_mem = None
             return
@@ -208,9 +210,9 @@ class _PipelineRecorder:
         self._ring_done = False
         self._armed = False
         self._record_until = -1
-        self._done = False
         self._cpi = max(cycles_per_instr, 1e-9)
         self._arm_cycle: "float | None" = None
+        self.next_check = 1
 
     def _mark(self, kind: str, step: int) -> None:
         self.marks[kind] = step
@@ -221,9 +223,8 @@ class _PipelineRecorder:
             self._ring.clear()
             self._ring_done = True
 
-    def __call__(self, engine) -> None:
-        if self._done:
-            return
+    def poll(self, engine) -> None:
+        self.next_check = engine.instructions + 1
         if self._arm_cycle is None:
             cycle = engine.faults[0].cycle if engine.faults else 0.0
             # generous margin: the ring needs ~`before` instructions
@@ -247,7 +248,7 @@ class _PipelineRecorder:
             # injection window done; keep the cheap crossing watch
             # alive until the crossing window (if any) also drains
             if "crossed" in self.marks:
-                self._done = True
+                self.next_check = _DONE
             return
         self._ring.append((step, _pipeline_state(engine, step)))
 
@@ -255,53 +256,42 @@ class _PipelineRecorder:
 # ---------------------------------------------------------------------------
 # golden windowed pass (checkpoint restore + early stop)
 # ---------------------------------------------------------------------------
-class _GoldenProbe:
-    """Record exactly the faulty pass's steps on a fault-free engine."""
+class _GoldenPass:
+    """Record exactly the faulty pass's steps on a fault-free engine.
 
-    def __init__(self, needed, state_fn, functional: bool) -> None:
-        self.needed = frozenset(needed)
-        self.frames: dict = {}
-        self._state = state_fn
-        self._functional = functional
-
-    def __call__(self, engine) -> None:
-        if self._functional:
-            step = engine.executed - 1
-            if step in self.needed:
-                self.frames[step] = self._state(engine, step)
-            engine.last_mem = None
-        else:
-            step = engine.instructions - 1
-            if step in self.needed:
-                self.frames[step] = self._state(engine, step)
-
-
-class _StopAfter:
-    """Fastpath hook ending a golden pass once the window is recorded.
-
-    Early exit must go through the engines' fastpath protocol — an
-    arch_probe that raises would be wrapped in a ContainmentError.
-    The synthesised result is discarded; only the probe's frames
-    matter.
+    Polled every step from the first needed one, so the functional
+    engine's ``last_mem`` holds only the current step's access.  Once
+    the last needed step is recorded the poll ends the run with a
+    placeholder result; only the frames matter.
     """
 
-    def __init__(self, last_step: int, pipeline: bool) -> None:
-        self.next_check = last_step + 1
+    def __init__(self, needed, pipeline: bool) -> None:
+        self.needed = frozenset(needed)
+        self.frames: dict = {}
+        self.next_check = min(self.needed)
+        self._last = max(self.needed)
         self._pipeline = pipeline
 
     def poll(self, engine):
+        pipeline = self._pipeline
+        count = engine.instructions if pipeline else engine.executed
+        if count - 1 in self.needed:
+            state = _pipeline_state if pipeline else _functional_state
+            self.frames[count - 1] = state(engine, count - 1)
+        if not pipeline:
+            engine.last_mem = None
+        self.next_check = count + 1
+        if count <= self._last:
+            return None
         from ..uarch.functional import FuncResult, RunStatus
+        from ..uarch.pipeline import PipelineResult
 
-        if self._pipeline:
-            from ..uarch.pipeline import PipelineResult
-
-            return PipelineResult(
-                status=RunStatus.COMPLETED, output=b"", exit_code=0,
-                cycles=engine.fetch_time,
-                instructions=engine.instructions,
-                kernel_instructions=engine.kernel_instructions)
+        if pipeline:
+            return PipelineResult(status=RunStatus.COMPLETED, output=b"",
+                                  exit_code=0, cycles=engine.fetch_time,
+                                  instructions=count)
         return FuncResult(status=RunStatus.COMPLETED, output=b"",
-                          exit_code=0, instructions=engine.executed)
+                          exit_code=0, instructions=count)
 
 
 def _nearest_for_instructions(store, when: int):
@@ -342,11 +332,10 @@ def _golden_frames(workload: str, config_name: str, hardened: bool,
             kernel="host" if engine_kind == "functional-host" else "sim",
             max_instructions=golden.max_instructions)
         engine.watch_mem = True
-    first, last = min(needed), max(needed)
     try:
         store = checkpoint_store(workload, config_name,
                                  engine=engine_kind, hardened=hardened)
-        checkpoint = _nearest_for_instructions(store, first)
+        checkpoint = _nearest_for_instructions(store, min(needed))
         if checkpoint.instructions > 0:
             if pipeline:
                 snapshot.restore_pipeline(engine, checkpoint.state)
@@ -356,13 +345,9 @@ def _golden_frames(workload: str, config_name: str, hardened: bool,
         # cold cache / foreign store: replay from reset (correct,
         # just slower)
         pass
-    probe = _GoldenProbe(
-        needed, _pipeline_state if pipeline else _functional_state,
-        functional=not pipeline)
-    engine.arch_probe = probe
-    engine.fastpath = _StopAfter(last, pipeline)
+    engine.hook = golden_pass = _GoldenPass(needed, pipeline)
     engine.run()
-    return probe.frames
+    return golden_pass.frames
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +367,8 @@ def capture_diff(injector: str, workload: str, config_name: str,
 
     The faulty pass reuses :func:`repro.obs.tracing.trace_run` (the
     campaign-identical ``(seed, index)`` derivation) with a windowed
-    recorder attached as the engine's ``arch_probe``; the probe forces
-    the scalar slow path, so the recorded run is the plain
+    recorder as the engine's ``hook``; a caller's hook displaces the
+    checkpoint fast path, so the recorded run is the plain
     from-reset trajectory.  The golden pass then replays only the
     recorded steps.  Returns the versioned JSON payload.
     """
@@ -405,7 +390,7 @@ def capture_diff(injector: str, workload: str, config_name: str,
     trace, result = trace_run(injector, workload, config_name, seed,
                               index=index, structure=structure,
                               model=model, hardened=hardened,
-                              arch_probe=recorder)
+                              hook=recorder)
     golden_frames = _golden_frames(workload, config_name, hardened,
                                    set(recorder.frames), engine_kind,
                                    golden)

@@ -182,7 +182,7 @@ def _first_detail(tracer: FaultTracer, kind: str) -> str:
 def trace_run(injector: str, workload: str, config_name: str,
               seed: int, index: int = 0, structure: str | None = None,
               model: str | None = None, hardened: bool = False,
-              arch_probe=None):
+              hook=None):
     """Replay campaign run ``(seed, index)`` with tracing enabled.
 
     The one replay entry point, shared by the CLI and the
@@ -191,8 +191,8 @@ def trace_run(injector: str, workload: str, config_name: str,
     campaign's own worker (:func:`repro.injectors.campaign.run_task`),
     so the returned ``(FaultTrace, InjectionResult)`` matches the
     classification the campaign produced for the same run.  Both the
-    tracer and an *arch_probe* (used by :mod:`repro.obs.trace_diff` to
-    snapshot state per step) force the scalar slow path, so the
+    tracer and an engine *hook* (used by :mod:`repro.obs.trace_diff`
+    to snapshot state per step) force the scalar slow path, so the
     replayed trajectory is the plain from-reset one regardless of
     ``REPRO_FASTPATH``/``REPRO_BATCH``.
     """
@@ -209,7 +209,7 @@ def trace_run(injector: str, workload: str, config_name: str,
     tracer = FaultTracer()
     result = run_task((injector, workload, config_name,
                        structure or model, seed, index, hardened, True,
-                       None), tracer=tracer, arch_probe=arch_probe)
+                       None), tracer=tracer, hook=hook)
     tracer.outcome(result.cycles,
                    result.outcome
                    + (f" ({result.crash_kind})"

@@ -172,20 +172,15 @@ class FunctionalEngine:
         self._core = _FunctionalCore(self)
         self._actions: list[FaultAction] = []
         self._counters = {"commit": 0, "user_dest": 0}
-        #: optional cosimulation hook (see repro.fuzz.oracle): called
-        #: with the engine after every executed instruction
-        self.arch_probe = None
         #: when True, the core records each memory access as
-        #: ``("load"|"store", addr, nbytes)`` in ``last_mem`` (an
-        #: arch_probe consumer clears it per step); off by default so
-        #: the hot path stays a single attribute test
+        #: ``("load"|"store", addr, nbytes)`` in ``last_mem`` (a hook
+        #: that polls every step clears it); off by default so the hot
+        #: path stays a single attribute test
         self.watch_mem = False
         self.last_mem = None
-        #: optional checkpoint hook (see repro.uarch.snapshot): an
-        #: object with ``next_check`` (executed-instruction count) and
-        #: ``poll(engine)``; polled at the top of the run loop, and a
-        #: non-None poll() return ends the run with that result.
-        self.fastpath = None
+        #: optional observer, polled like ``PipelineEngine.hook`` at
+        #: every boundary whose ``executed`` count is >= ``next_check``
+        self.hook = None
 
     # ------------------------------------------------------------------
     # fault scheduling
@@ -251,15 +246,15 @@ class FunctionalEngine:
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
         has_actions = bool(self._actions)
-        arch_probe = self.arch_probe
-        fastpath = self.fastpath
+        hook = self.hook
         try:
-            while not ms.halted:
-                if fastpath is not None \
-                        and self.executed >= fastpath.next_check:
-                    early = fastpath.poll(self)
+            while True:
+                if hook is not None and self.executed >= hook.next_check:
+                    early = hook.poll(self)
                     if early is not None:
                         return early
+                if ms.halted:
+                    break
                 if self.executed >= self.max_instructions:
                     status = RunStatus.TIMEOUT
                     break
@@ -293,8 +288,6 @@ class FunctionalEngine:
                         self._counters["user_dest"] += 1
                     if profile is not None:
                         profile.dest_instructions += 1
-                if arch_probe is not None:
-                    arch_probe(self)
         except SimException as exc:
             status = RunStatus.SIM_EXCEPTION
             fault_kind = exc.kind

@@ -249,23 +249,16 @@ class PipelineEngine:
         #: set, the engine reports write/read/release events for the
         #: register file, LSQ and D-cache lines.
         self.lifetime_tracker = None
-        #: optional cosimulation hook (see repro.fuzz.oracle): called
-        #: with the engine after every committed instruction; hoisted
-        #: to a local in run() so a None probe costs nothing.
-        self.arch_probe = None
         self._fetch_line = None
         self._fetch_line_base = -1
         self._fetch_line_tag = -1
-        #: optional checkpoint hook (see repro.uarch.snapshot): an
-        #: object with ``next_check`` (instruction count) and
-        #: ``poll(engine)``; polled at the top of the run loop, and a
-        #: non-None poll() return ends the run with that result.
-        self.fastpath = None
-        #: optional residency profiler (see repro.obs.profiles): an
-        #: object with ``every`` (sampling stride in committed
-        #: instructions) and ``sample(engine)``; read-only, so an
-        #: attached profiler never perturbs simulation results.
-        self.profiler = None
+        #: optional observer (checkpoint fast path, cosim probe, trace
+        #: recorder, residency profiler): an object with ``next_check``
+        #: (instruction count) and ``poll(engine)``.  Polled at every
+        #: instruction boundary whose count is >= ``next_check``,
+        #: including the one after the halting instruction; a non-None
+        #: poll() return ends the run with that result.
+        self.hook = None
 
     # ------------------------------------------------------------------
     # crossing / fault bookkeeping
@@ -553,22 +546,21 @@ class PipelineEngine:
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
         have_faults = bool(self.faults)
-        arch_probe = self.arch_probe
-        fastpath = self.fastpath
-        profiler = self.profiler
-        profile_every = profiler.every if profiler is not None else 0
+        hook = self.hook
 
         try:
-            while not ms.halted:
-                if fastpath is not None \
-                        and self.instructions >= fastpath.next_check:
-                    early = fastpath.poll(self)
+            while True:
+                if hook is not None \
+                        and self.instructions >= hook.next_check:
+                    early = hook.poll(self)
                     if early is not None:
                         if registry.enabled:
                             self._record_metrics(
                                 registry,
                                 time.perf_counter() - wall_started)
                         return early
+                if ms.halted:
+                    break
                 if self.instructions >= self.max_instructions \
                         or self.fetch_time > self.max_cycles:
                     status = RunStatus.TIMEOUT
@@ -718,10 +710,6 @@ class PipelineEngine:
                 self.instructions += 1
                 if ms.in_kernel:
                     self.kernel_instructions += 1
-                if arch_probe is not None:
-                    arch_probe(self)
-                if profile_every and not self.instructions % profile_every:
-                    profiler.sample(self)
                 if self.collect_stats and not self.instructions % 64:
                     self._sample_occupancy()
         except SimException as exc:

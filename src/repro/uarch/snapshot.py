@@ -49,8 +49,9 @@ Correctness invariants the digest relies on:
   condition under which the reference is unreachable.
 
 The fast path is controlled by ``REPRO_FASTPATH`` (truthy default)
-and the ``--no-fastpath`` CLI escape hatch; checkpoint density by
-``REPRO_CHECKPOINT_EVERY``.
+and the ``--no-fastpath`` CLI escape hatch.  Its capture and
+early-exit hooks ride in the engines' one ``hook`` slot and do
+nothing when polled after a halting instruction.
 """
 
 from __future__ import annotations
@@ -93,14 +94,7 @@ def fastpath_enabled(explicit: "bool | None" = None) -> bool:
 
 
 def checkpoint_interval(total_instructions: int) -> int:
-    """Checkpoint spacing in instructions for a run of the given size
-    (``REPRO_CHECKPOINT_EVERY`` overrides)."""
-    env = os.environ.get("REPRO_CHECKPOINT_EVERY")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """Checkpoint spacing in instructions for a run of the given size."""
     return max(64, total_instructions // TARGET_CHECKPOINTS)
 
 
@@ -436,55 +430,43 @@ def restore_functional(engine: FunctionalEngine, state: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# capture hooks (installed as engine.fastpath during capture runs)
+# capture hooks (installed as engine.hook during capture runs)
 # ---------------------------------------------------------------------------
-class _PipelineCapture:
+class _Capture:
     """Capture a checkpoint at every boundary; never exits early."""
 
-    def __init__(self, interval: int) -> None:
+    def __init__(self, interval: int, pipeline: bool) -> None:
         self.interval = interval
+        self.pipeline = pipeline
         self.next_check = 0
         self.checkpoints: list = []
         self.digests: dict = {}
         self._intern: dict = {}
 
-    def poll(self, engine: PipelineEngine):
-        digest = pipeline_digest(engine)
-        assert digest is not None, "capture runs are fault-free"
+    def poll(self, engine):
+        if engine.ms.halted:
+            return None
+        if self.pipeline:
+            count, cycle, counters = (engine.instructions,
+                                      engine.fetch_time, {})
+            digest = pipeline_digest(engine)
+            assert digest is not None, "capture runs are fault-free"
+            state = capture_pipeline(engine, self._intern)
+        else:
+            count, cycle, counters = (engine.executed, 0.0,
+                                      dict(engine._counters))
+            digest = functional_digest(engine)
+            state = capture_functional(engine, self._intern)
         self.checkpoints.append(Checkpoint(
-            instructions=engine.instructions,
-            cycle=engine.fetch_time,
-            counters={},
-            digest=digest,
-            state=capture_pipeline(engine, self._intern)))
-        self.digests[engine.instructions] = digest
-        self.next_check = engine.instructions + self.interval
-        return None
-
-
-class _FunctionalCapture:
-    def __init__(self, interval: int) -> None:
-        self.interval = interval
-        self.next_check = 0
-        self.checkpoints: list = []
-        self.digests: dict = {}
-        self._intern: dict = {}
-
-    def poll(self, engine: FunctionalEngine):
-        digest = functional_digest(engine)
-        self.checkpoints.append(Checkpoint(
-            instructions=engine.executed,
-            cycle=0.0,
-            counters=dict(engine._counters),
-            digest=digest,
-            state=capture_functional(engine, self._intern)))
-        self.digests[engine.executed] = digest
-        self.next_check = engine.executed + self.interval
+            instructions=count, cycle=cycle, counters=counters,
+            digest=digest, state=state))
+        self.digests[count] = digest
+        self.next_check = count + self.interval
         return None
 
 
 # ---------------------------------------------------------------------------
-# early-exit hooks (installed as engine.fastpath during injection runs)
+# early-exit hooks (installed as engine.hook during injection runs)
 # ---------------------------------------------------------------------------
 class _PipelineFastPath:
     """Early Masked termination against the golden digest trace."""
@@ -498,8 +480,8 @@ class _PipelineFastPath:
     def poll(self, engine: PipelineEngine):
         store = self.store
         self.next_check = engine.instructions + store.interval
-        if engine._next_fault < len(engine.faults):
-            return None  # convergence guard: fault not yet applied
+        if engine.ms.halted or engine._next_fault < len(engine.faults):
+            return None  # ran out, or fault not yet applied
         expect = store.digests.get(engine.instructions)
         if expect is None or pipeline_digest(engine) != expect:
             return None
@@ -532,6 +514,8 @@ class _FunctionalFastPath:
     def poll(self, engine: FunctionalEngine):
         store = self.store
         self.next_check = engine.executed + store.interval
+        if engine.ms.halted:
+            return None
         counters = engine._counters
         for action in engine._actions:
             if counters[action.counter] <= action.when:
@@ -568,8 +552,7 @@ def build_pipeline_store(image_factory, config, max_instructions: int,
     engine = PipelineEngine(image_factory(), config,
                             max_instructions=max_instructions,
                             max_cycles=max_cycles)
-    hook = _PipelineCapture(interval)
-    engine.fastpath = hook
+    engine.hook = hook = _Capture(interval, pipeline=True)
     result = engine.run()
     if result.status is not RunStatus.COMPLETED:
         raise RuntimeError(
@@ -596,8 +579,7 @@ def build_functional_store(image_factory, kernel: str,
     engine = FunctionalEngine(image_factory(), kernel=kernel,
                               max_instructions=max_instructions)
     engine.schedule(FaultAction("commit", -1, lambda _engine: None))
-    hook = _FunctionalCapture(interval)
-    engine.fastpath = hook
+    engine.hook = hook = _Capture(interval, pipeline=False)
     result = engine.run()
     if result.status is not RunStatus.COMPLETED:
         raise RuntimeError(
@@ -622,7 +604,7 @@ def prepare_pipeline_fastpath(engine: PipelineEngine,
         else float("inf")
     cp = store.nearest_for_cycle(cycle)
     restore_pipeline(engine, cp.state)
-    engine.fastpath = _PipelineFastPath(store, cp.instructions)
+    engine.hook = _PipelineFastPath(store, cp.instructions)
     registry = get_registry()
     if registry.enabled:
         registry.counter(FASTPATH_RESTORES).inc()
@@ -637,18 +619,13 @@ def prepare_functional_fastpath(engine: FunctionalEngine,
     """Restore the nearest checkpoint before the earliest scheduled
     action's trigger and install the early-exit hook."""
     cp = store.checkpoints[0]
-    for action in engine._actions:
-        cand = store.nearest_for_counter(action.counter, action.when)
-        if cand.instructions < cp.instructions or cp is None:
-            cp = cand
-    # (single-action engines — the normal case — pick its checkpoint;
-    # with several actions the earliest-restoring one wins)
+    # with several actions the earliest-restoring one wins
     if engine._actions:
         cps = [store.nearest_for_counter(a.counter, a.when)
                for a in engine._actions]
         cp = min(cps, key=lambda c: c.instructions)
     restore_functional(engine, cp.state)
-    engine.fastpath = _FunctionalFastPath(store, cp.instructions)
+    engine.hook = _FunctionalFastPath(store, cp.instructions)
     registry = get_registry()
     if registry.enabled:
         registry.counter(FASTPATH_RESTORES).inc()

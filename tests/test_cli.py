@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -97,3 +99,25 @@ class TestCommands:
                      "--n-svf", "8"]) == 0
         out = capsys.readouterr().out
         assert "SVF vs AVF" in out
+
+    def test_study_no_fastpath_stays_in_the_study(self, monkeypatch,
+                                                 tmp_path, capsys):
+        from repro.core import study
+        from repro.uarch.snapshot import fastpath_enabled
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+        seen = []
+        real = study.run_campaign
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["fastpath"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(study, "run_campaign", spy)
+        assert main(["study", "--workloads", "crc32", "--methods", "svf",
+                     "--n-svf", "2", "--no-fastpath"]) == 0
+        assert seen and all(value is False for value in seen)
+        # the flag reaches the study's campaigns, not the process
+        assert "REPRO_FASTPATH" not in os.environ
+        assert fastpath_enabled()

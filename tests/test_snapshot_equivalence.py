@@ -250,6 +250,64 @@ class TestFastPathEngages:
 
 
 # ---------------------------------------------------------------------------
+# the engines' one observer hook: poll points and the halted guard
+# ---------------------------------------------------------------------------
+class _EveryStep:
+    """Hook polled at every boundary, recording the counts it sees."""
+
+    def __init__(self, counter: str) -> None:
+        self.counter = counter
+        self.next_check = 1
+        self.seen: list = []
+
+    def poll(self, engine):
+        count = getattr(engine, self.counter)
+        self.seen.append(count)
+        self.next_check = count + 1
+
+
+class TestHookProtocol:
+    def _image(self, config):
+        return build_system_image(load_workload(WORKLOAD, config.isa))
+
+    @pytest.mark.parametrize("kind", ["pipeline", "functional"])
+    def test_every_step_hook_sees_each_count_once(self, kind, config,
+                                                  golden):
+        if kind == "pipeline":
+            engine = PipelineEngine(self._image(config), config)
+            hook = _EveryStep("instructions")
+        else:
+            engine = FunctionalEngine(self._image(config), kernel="sim")
+            hook = _EveryStep("executed")
+        engine.hook = hook
+        result = engine.run()
+        assert result.output == golden.output
+        # including the count after the halting instruction
+        assert hook.seen == list(range(1, result.instructions + 1))
+
+    @pytest.mark.parametrize("engine", ["pipeline", "functional-sim",
+                                        "functional-host"])
+    def test_store_gains_nothing_at_the_final_count(self, engine,
+                                                    config, golden):
+        def factory():
+            return self._image(config)
+
+        if engine == "pipeline":
+            store = snapshot.build_pipeline_store(
+                factory, config, golden.max_instructions,
+                golden.max_cycles, interval=golden.pipe_instructions)
+        else:
+            kernel = engine.split("-", 1)[1]
+            final = FunctionalEngine(factory(), kernel=kernel).run()
+            store = snapshot.build_functional_store(
+                factory, kernel, golden.max_instructions,
+                interval=final.instructions)
+        assert store.final["instructions"] == store.interval
+        assert [cp.instructions for cp in store.checkpoints] == [0]
+        assert list(store.digests) == [0]
+
+
+# ---------------------------------------------------------------------------
 # cache versioning: schema bumps invalidate, never mix
 # ---------------------------------------------------------------------------
 class TestVersionInvalidation:

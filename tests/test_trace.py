@@ -58,4 +58,4 @@ class TestTracer:
         program = assemble(
             ".text\n_start:\n    li r4, 0\n    lw r5, 0(r4)", MR64)
         trace = trace_program(program)
-        assert trace.status.startswith("sim-exception")
+        assert trace.status == "sim-exception: access-fault"

@@ -5,7 +5,7 @@ diff onto its ``golden_regs`` reconstructs the faulty architectural
 state exactly (the ``digest`` field proves it); the payload's
 ``outcome`` agrees byte-for-byte with the campaign worker for the
 same ``(seed, index)``; the sidecar codec memoizes so a drill-down is
-simulated at most once; and an attached ``arch_probe`` pins the
+simulated at most once; and a recorder in the engine ``hook`` pins the
 scalar slow path, so the traced trajectory is byte-identical under
 every ``REPRO_FASTPATH`` / ``REPRO_BATCH`` setting.
 """
@@ -116,6 +116,23 @@ class TestRoundTrip:
             for frame in payload["frames"]:
                 assert 0 <= frame["phase"] < payload["n_phases"]
                 assert isinstance(frame["in_kernel"], bool)
+
+    @pytest.mark.parametrize("injector, kwargs, count", [
+        ("gefin", {"structure": "RF"}, "pipe_instructions"),
+        ("pvf", {"model": "WD"}, "instructions")], ids=["gefin", "pvf"])
+    def test_window_reaches_the_halting_instruction(self, injector,
+                                                    kwargs, count):
+        # seed 1 masks on crc32, so both passes run to the golden end:
+        # the engines poll the recorders after the halting instruction
+        from repro.injectors.golden import golden_run
+
+        payload = capture_diff(injector, "crc32", CONFIG, 1, index=0,
+                               after=10 ** 7, **kwargs)
+        assert payload["outcome"]["outcome"] == "masked"
+        last = getattr(golden_run("crc32", CONFIG), count) - 1
+        assert payload["frames"][-1]["step"] == last
+        assert all(frame["golden_pc"] is not None
+                   for frame in payload["frames"])
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +309,8 @@ class TestScalarPathPinned:
 # ---------------------------------------------------------------------------
 class TestProbeIsPassive:
     def test_capture_leaves_outcome_unchanged(self, payloads):
-        # the recorder rides along as arch_probe; the traced result it
-        # returns must equal the probe-free replay's
+        # the recorder rides along as the engine hook; the traced
+        # result it returns must equal the probe-free replay's
         from repro.obs.tracing import trace_run
 
         workload, kwargs, seed = PINNED["pvf"]
