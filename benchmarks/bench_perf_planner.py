@@ -22,7 +22,6 @@ import time
 
 from bench_common import emit, emit_json
 
-from repro.core.planner import run_planned_campaign
 from repro.faults.sampling import samples_for_margin, wilson_interval
 from repro.injectors.campaign import run_campaign
 
@@ -58,9 +57,10 @@ def test_perf_planner_savings():
                                         confidence=0.99)
             low, high = weight * low, weight * high
 
-            planned = run_planned_campaign(
+            planned = run_campaign(
                 workload, CONFIG, structure=structure, n=naive_n,
-                seed=SEED, target_margin=TARGET_MARGIN)
+                seed=SEED, planner="two-level",
+                target_margin=TARGET_MARGIN)
             plan = planned.plan
             estimate = plan["estimate"]
             inside = low <= estimate <= high

@@ -82,7 +82,6 @@ def warm(quick: bool = False) -> None:
                           n=scale.n_svf, seed=scale.seed))
 
     # ---- two-level planner sweep (bench_perf_planner gate) -----------
-    from repro.core.planner import run_planned_campaign
     from repro.faults.sampling import samples_for_margin
 
     planner_n = samples_for_margin(0.08)
@@ -91,9 +90,10 @@ def warm(quick: bool = False) -> None:
             tick(run_campaign(workload, "cortex-a72",
                               injector="gefin", structure=structure,
                               n=planner_n, seed=scale.seed))
-            tick(run_planned_campaign(
+            tick(run_campaign(
                 workload, "cortex-a72", structure=structure,
-                n=planner_n, seed=scale.seed, target_margin=0.08))
+                n=planner_n, seed=scale.seed, planner="two-level",
+                target_margin=0.08))
 
     # ---- hardened case study ------------------------------------------
     for workload in CASE_STUDY_WORKLOADS:

@@ -208,11 +208,13 @@ def _cmd_campaign(args) -> int:
     print(campaign.summary())
     if campaign.plan:
         plan = campaign.plan
+        met = plan["margin_attained"] <= plan["target_margin"]
         print(f"planner  : {plan['planner']} "
               f"{plan['actual_n']}/{plan['planned_n']} injections "
               f"({plan['savings']:.2f}x saved), margin "
-              f"{plan['margin_attained']:.4f} <= "
-              f"{plan['target_margin']:.4f}")
+              f"{plan['margin_attained']:.4f} {'<=' if met else '>'} "
+              f"{plan['target_margin']:.4f}"
+              + ("" if met else " (budget exhausted)"))
     if args.injector == "gefin":
         print(f"HVF      : {campaign.hvf() * 100:.3f}%")
         rates = campaign.fpm_rates()

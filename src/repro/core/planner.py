@@ -394,34 +394,22 @@ def _stratified_estimate(weights: list, pruned: list, trials: list,
     return est / total_w
 
 
-def run_planned_campaign(workload: str,
-                         config: "MicroarchConfig | str",
-                         injector: str = "gefin",
-                         structure: str | None = None,
-                         model: str = "WD", n: int = 200,
-                         seed: int = 1,
-                         target_margin: float = DEFAULT_TARGET_MARGIN,
-                         batch: int = DEFAULT_BATCH,
-                         hardened: bool = False,
-                         prefer_live: bool = True,
-                         use_cache: bool = True,
-                         workers: int | None = None,
-                         population: float | None = None,
-                         progress: bool | None = None,
-                         fastpath: bool | None = None,
-                         cancel=None):
-    """Run (or load) one two-level, sequentially-stopped campaign.
+def run_planned_campaign(spec, options):
+    """Run (or load) the two-level, sequentially-stopped campaign that
+    *spec* (a :class:`~repro.injectors.campaign.CampaignSpec`) names,
+    with *options* (a :class:`~repro.injectors.campaign.RunOptions`).
+    :func:`~repro.injectors.campaign.run_campaign` calls it for
+    ``planner="two-level"``.
 
-    *n* is the naive-equivalent budget: the sample count a fixed-size
-    campaign would pay for this cell, the size of the finite site
-    population the planner subsamples, and the hard cap on planned
-    draws.  The result is a normal
+    ``spec.n`` is the naive-equivalent budget: the sample count a
+    fixed-size campaign would pay for this cell, the size of the
+    finite site population the planner subsamples, and the hard cap
+    on planned draws.  The result is a normal
     :class:`~repro.injectors.campaign.CampaignResult` whose ``plan``
     field records the partition (per-class weights, populations, live
     priors, trials, successes), the planned-vs-actual counts, the
     extrapolated estimate and the per-batch Wilson-margin trajectory.
-    *cancel* stops the campaign at the next batch boundary, as
-    :func:`~repro.injectors.campaign.run_campaign` documents.
+    ``options.cancel`` stops the campaign at the next batch boundary.
 
     Determinism: the site stream is deterministic in
     ``(seed, index)``, batch allocation is a pure function of the
@@ -433,18 +421,21 @@ def run_planned_campaign(workload: str,
     from ..injectors.engine import run_sharded
     from ..injectors.golden import cache_dir
 
-    config_name = config if isinstance(config, str) else config.name
+    workload, config_name, injector = (spec.workload, spec.config,
+                                       spec.injector)
+    structure, n, seed = spec.structure, spec.n, spec.seed
+    target_margin, batch = spec.plan_knobs()
 
-    def sample(golden, target, weight, task, path, events, registry):
+    def sample(golden, weight, task, path, events, registry):
         cfg = config_by_name(config_name)
         classes = partition_classes(workload, cfg, structure=structure,
                                     injector=injector,
-                                    hardened=hardened,
-                                    prefer_live=prefer_live)
+                                    hardened=spec.hardened,
+                                    prefer_live=spec.prefer_live)
         if injector == "gefin":
             members = enumerate_stream(workload, cfg, structure, seed,
                                        n, golden,
-                                       prefer_live=prefer_live)
+                                       prefer_live=spec.prefer_live)
         else:
             members = [list(range(n))]
         pruned = [c.pruned for c in classes]
@@ -461,8 +452,6 @@ def run_planned_campaign(workload: str,
         hits = [0] * len(classes)
         per_class_results: list = [[] for _ in classes]
         batches: list = []
-        n_workers = (workers if workers is not None
-                     else campaign_mod.default_workers(n))
         stopped_early = False
 
         active = sum(1 for i in range(len(classes))
@@ -481,11 +470,13 @@ def run_planned_campaign(workload: str,
             batch_results = run_sharded(
                 campaign_mod.run_task,
                 [task(index) for _, index in picks],
-                workers=n_workers, checkpoint_dir=None, encode=asdict,
+                workers=options.workers, checkpoint_dir=None,
+                encode=asdict,
                 decode=campaign_mod._decode_one,
                 events=events, label=f"{path.stem}-b{len(batches)}",
                 metrics=registry if registry.enabled else None,
-                repro_dir=cache_dir() / "repros", stop_event=cancel)
+                repro_dir=cache_dir() / "repros",
+                stop_event=options.cancel)
             for (owner, _), result in zip(picks, batch_results):
                 trials[owner] += 1
                 if result.vulnerable:
@@ -560,7 +551,8 @@ def run_planned_campaign(workload: str,
         events.emit("planner_summary", campaign=path.stem,
                     planner="two-level", injector=injector,
                     workload=workload, config=config_name,
-                    target=target or "-", planned_n=n, actual_n=total,
+                    target=spec.target or "-", planned_n=n,
+                    actual_n=total,
                     savings=plan["savings"],
                     margin_attained=plan["margin_attained"],
                     target_margin=target_margin,
@@ -575,12 +567,7 @@ def run_planned_campaign(workload: str,
         results = [r for group in per_class_results for r in group]
         return results, plan, None
 
-    return campaign_mod.run_enveloped(
-        sample, workload, config_name, injector=injector,
-        structure=structure, model=model, n=n, seed=seed,
-        hardened=hardened, prefer_live=prefer_live, use_cache=use_cache,
-        population=population, fastpath=fastpath, planner="two-level",
-        target_margin=target_margin, batch=batch)
+    return campaign_mod.run_enveloped(sample, spec, options)
 
 
 def planner_table(campaigns: list) -> list:

@@ -19,6 +19,7 @@ plus Leveugle-style margins of error for every proportion.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -26,6 +27,7 @@ import random
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from ..faults.fault import sample_uniform
 from ..faults.outcomes import Outcome
@@ -43,26 +45,14 @@ from .golden import cache_dir, checkpoint_store, golden_run
 from .llfi import _dest_flip_action, run_one_svf
 
 INJECTORS = ("gefin", "pvf", "svf")
+#: the checkpoint store each injector's fast path restores from
+_FASTPATH_ENGINES = {"gefin": "pipeline", "pvf": "functional-sim",
+                     "svf": "functional-host"}
 
 
 # ---------------------------------------------------------------------------
 # the run recipe (deterministic in (seed, index); picklable by design)
 # ---------------------------------------------------------------------------
-def check_injector(injector: str, config_name: str) -> None:
-    """Reject an injector the config cannot run, before any simulation.
-
-    The LLFI model behind svf flips 64-bit destination values only,
-    mirroring LLFI's limitation reported in the paper.
-    """
-    if injector not in INJECTORS:
-        raise ValueError(f"unknown injector {injector!r}")
-    if injector == "svf" and \
-            register_set(config_by_name(config_name).isa).xlen != 64:
-        raise ValueError(
-            "the SVF injector supports 64-bit ISAs only, mirroring "
-            "LLFI's limitation reported in the paper")
-
-
 def draw_fault(injector: str, workload: str, config_name: str,
                target: "str | None", seed: int, index: int,
                golden, prefer_live: bool = True):
@@ -346,6 +336,173 @@ def _record_campaign_metrics(registry: MetricsRegistry,
 
 
 # ---------------------------------------------------------------------------
+# the campaign cell and the switches around it
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class CampaignSpec:
+    """One campaign cell: every axis that can change its result.
+
+    The fields are the whole cache key (:meth:`key`, :meth:`path`) of
+    naive and planned campaigns and of job-service requests, so a
+    value that is not a field here cannot change a cached result;
+    those are :class:`RunOptions`.  Normalised when built: *structure*
+    outside gefin, *model* outside pvf, the ``"naive"`` planner and a
+    naive campaign's *target_margin*/*batch* become ``None``.  A
+    :class:`~repro.uarch.config.MicroarchConfig` *config* is kept by
+    name, so it must equal the registered core of that name.
+    """
+
+    workload: str
+    config: str
+    injector: str = "gefin"
+    structure: "str | None" = None
+    model: "str | None" = "WD"
+    n: int = 200
+    seed: int = 1
+    hardened: bool = False
+    prefer_live: bool = True
+    planner: "str | None" = None
+    target_margin: "float | None" = None
+    batch: "int | None" = None
+
+    def __post_init__(self) -> None:
+        config = self.config
+        name = config if isinstance(config, str) else config.name
+        registered = config_by_name(name)
+        if not isinstance(config, str) and config != registered:
+            raise ValueError(
+                f"core {name!r} differs from the registered core of "
+                f"that name; a campaign keeps only the name, so "
+                f"register the variant under a name of its own")
+        if self.injector not in INJECTORS:
+            raise ValueError(f"unknown injector {self.injector!r}")
+        if self.injector == "svf" and \
+                register_set(registered.isa).xlen != 64:
+            # the LLFI model behind svf flips 64-bit destination values
+            raise ValueError(
+                "the SVF injector supports 64-bit ISAs only, mirroring "
+                "LLFI's limitation reported in the paper")
+        if self.injector == "gefin" and self.structure is None:
+            raise ValueError("gefin campaigns need a structure")
+        planner = None if self.planner == "naive" else self.planner
+        if planner is not None:
+            from ..core.planner import PLANNERS
+
+            if planner not in PLANNERS:
+                raise ValueError(f"unknown planner {planner!r}")
+        normal = {"config": name, "planner": planner}
+        if self.injector != "gefin":
+            normal["structure"] = None
+        if self.injector != "pvf":
+            normal["model"] = None
+        if planner is None:
+            normal.update(target_margin=None, batch=None)
+        for field_name, value in normal.items():
+            object.__setattr__(self, field_name, value)
+
+    @property
+    def target(self) -> "str | None":
+        """The structure (gefin) or model (pvf) faults are drawn for."""
+        return self.structure if self.injector == "gefin" else self.model
+
+    def plan_knobs(self) -> tuple:
+        """The two-level planner's ``(target_margin, batch)``, each
+        ``None`` resolved to the planner default."""
+        from ..core.planner import DEFAULT_BATCH, DEFAULT_TARGET_MARGIN
+
+        return (DEFAULT_TARGET_MARGIN if self.target_margin is None
+                else self.target_margin,
+                DEFAULT_BATCH if self.batch is None else self.batch)
+
+    def key(self) -> tuple:
+        """The cache-key tuple.
+
+        The tuples are part of every cached path: reordering one
+        orphans the warm caches (``tests/test_cache_keys.py`` pins
+        them).
+        """
+        from . import golden as golden_mod
+        from .golden import config_digest, workload_digest
+
+        cfg = config_by_name(self.config)
+        digest = (workload_digest(self.workload, cfg.isa, self.hardened)
+                  + config_digest(cfg))
+        schema = golden_mod.CACHE_SCHEMA_VERSION
+        if self.planner is not None:
+            from ..core import planner as planning
+
+            target_margin, batch = self.plan_knobs()
+            return (f"planned-{self.injector}", self.workload,
+                    self.config,
+                    "-" if self.injector == "svf" else self.target,
+                    self.n, self.seed, self.hardened, self.prefer_live,
+                    round(target_margin, 9),
+                    round(planning.PLAN_CONFIDENCE, 9), batch,
+                    planning.PLAN_PHASES, planning.PLAN_REGIONS, digest,
+                    schema)
+        if self.injector == "gefin":
+            return ("gefin", self.workload, self.config, self.structure,
+                    self.n, self.seed, self.hardened, self.prefer_live,
+                    digest, schema)
+        if self.injector == "pvf":
+            return ("pvf", self.workload, self.config, self.model,
+                    self.n, self.seed, self.hardened, digest, schema)
+        return ("svf", self.workload, self.config, self.n, self.seed,
+                self.hardened, digest, schema)
+
+    def path(self) -> Path:
+        """The ``campaign-*.json`` sidecar of this cell.
+
+        Computing it never simulates (it hashes the workload image and
+        core geometry only), so callers can probe the cache, as the
+        job service's duplicate-submission dedup does, without paying
+        for a run.
+        """
+        meta = self.key()
+        digest = hashlib.sha256(json.dumps(meta).encode()).hexdigest()[:20]
+        return cache_dir() / f"campaign-{meta[0]}-{meta[1]}-{digest}.json"
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How a campaign runs: the switches that cannot change its result.
+
+    The fast path and batch lanes are byte-identical to the scalar
+    slow path (the fastpath and batch equivalence suites hold them to
+    it); *workers*, *progress*, *use_cache* and *cancel* (a
+    :class:`threading.Event`) only schedule, report, store or stop.
+    """
+
+    use_cache: bool
+    workers: int
+    progress: bool
+    fastpath: bool
+    batch_lanes: int
+    cancel: "threading.Event | None"
+
+    @classmethod
+    def resolve(cls, n: int, *, use_cache: bool = True,
+                workers: "int | None" = None,
+                progress: "bool | None" = None,
+                fastpath: "bool | None" = None,
+                batch_lanes: "int | None" = None,
+                cancel=None) -> "RunOptions":
+        """The options of an *n*-run campaign: each ``None`` switch
+        defers to its environment variable (``REPRO_WORKERS``,
+        ``REPRO_PROGRESS``, ``REPRO_FASTPATH``, ``REPRO_BATCH``)."""
+        from ..uarch.batch import resolve_batch_lanes
+        from ..uarch.snapshot import fastpath_enabled
+
+        return cls(use_cache=use_cache,
+                   workers=(workers if workers is not None
+                            else default_workers(n)),
+                   progress=progress_enabled(progress),
+                   fastpath=fastpath_enabled(fastpath),
+                   batch_lanes=resolve_batch_lanes(batch_lanes),
+                   cancel=cancel)
+
+
+# ---------------------------------------------------------------------------
 # the campaign runner
 # ---------------------------------------------------------------------------
 def _write_profile_sidecar(campaign: "CampaignResult", path) -> None:
@@ -367,86 +524,6 @@ def _write_profile_sidecar(campaign: "CampaignResult", path) -> None:
                                  campaign.config_name,
                                  hardened=campaign.hardened)
     atomic_write_text(sidecar, json.dumps(profile.to_json()))
-
-
-def _campaign_path(meta: tuple) -> "os.PathLike":
-    import hashlib
-
-    digest = hashlib.sha256(json.dumps(meta).encode()).hexdigest()[:20]
-    return cache_dir() / f"campaign-{meta[0]}-{meta[1]}-{digest}.json"
-
-
-def _campaign_meta(injector: str, workload: str, config_name: str,
-                   structure: "str | None", model: str, n: int,
-                   seed: int, hardened: bool, prefer_live: bool,
-                   planner: "str | None" = None,
-                   target_margin: "float | None" = None,
-                   batch: "int | None" = None) -> tuple:
-    """The cache key tuple of every campaign, naive or planned.
-
-    The only place a key is built: :func:`run_campaign`, the planner
-    and the job service (:mod:`repro.service`) all reach their
-    sidecar through it.  The tuples are part of every cached path:
-    reordering one orphans the warm caches.
-    """
-    from . import golden as golden_mod
-    from .golden import config_digest, workload_digest
-
-    check_injector(injector, config_name)
-    cfg = config_by_name(config_name)
-    digest = (workload_digest(workload, cfg.isa, hardened)
-              + config_digest(cfg))
-    schema = golden_mod.CACHE_SCHEMA_VERSION
-    if injector == "gefin" and structure is None:
-        raise ValueError("gefin campaigns need a structure")
-    if planner not in (None, "naive"):
-        from ..core import planner as planning
-
-        if planner not in planning.PLANNERS:
-            raise ValueError(f"unknown planner {planner!r}")
-        target = structure if injector == "gefin" else model \
-            if injector == "pvf" else "-"
-        if target_margin is None:
-            target_margin = planning.DEFAULT_TARGET_MARGIN
-        return (f"planned-{injector}", workload, config_name, target, n,
-                seed, hardened, prefer_live, round(target_margin, 9),
-                round(planning.PLAN_CONFIDENCE, 9),
-                planning.DEFAULT_BATCH if batch is None else batch,
-                planning.PLAN_PHASES, planning.PLAN_REGIONS, digest,
-                schema)
-    if injector == "gefin":
-        return ("gefin", workload, config_name, structure, n, seed,
-                hardened, prefer_live, digest, schema)
-    if injector == "pvf":
-        return ("pvf", workload, config_name, model, n, seed, hardened,
-                digest, schema)
-    return ("svf", workload, config_name, n, seed, hardened,
-            digest, schema)
-
-
-def campaign_cache_path(workload: str, config: "MicroarchConfig | str",
-                        injector: str = "gefin",
-                        structure: str | None = None,
-                        model: str = "WD", n: int = 200, seed: int = 1,
-                        hardened: bool = False,
-                        prefer_live: bool = True,
-                        planner: str | None = None,
-                        target_margin: float | None = None,
-                        batch: int | None = None) -> "os.PathLike":
-    """The sidecar path :func:`run_campaign` reads/writes for these
-    axes, planned campaigns included (``None`` *target_margin* and
-    *batch* resolve to the planner defaults, as in
-    :func:`run_campaign`).
-
-    Computing the path never simulates — it hashes the workload
-    image and config geometry only — so callers can probe the cache
-    (e.g. the job service's duplicate-submission dedup) without
-    paying for a run.
-    """
-    config_name = config if isinstance(config, str) else config.name
-    return _campaign_path(_campaign_meta(
-        injector, workload, config_name, structure, model, n, seed,
-        hardened, prefer_live, planner, target_margin, batch))
 
 
 def load_cached_campaign(path) -> "CampaignResult | None":
@@ -473,22 +550,6 @@ def load_cached_campaign(path) -> "CampaignResult | None":
         return None
 
 
-def prepare_golden(injector: str, workload: str, config_name: str,
-                   hardened: bool, use_fastpath: bool):
-    """Golden data (and, on the fast path, the checkpoint store) on
-    disk before any worker forks: every worker then loads the shared
-    store instead of re-running its own capture run."""
-    golden = golden_run(workload, config_name, hardened=hardened)
-    if use_fastpath:
-        checkpoint_store(workload, config_name,
-                         engine=("pipeline" if injector == "gefin"
-                                 else "functional-sim"
-                                 if injector == "pvf"
-                                 else "functional-host"),
-                         hardened=hardened)
-    return golden
-
-
 def default_workers(n: int) -> int:
     env = os.environ.get("REPRO_WORKERS")
     if env:
@@ -504,67 +565,59 @@ def default_workers(n: int) -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def run_enveloped(sample, workload: str, config_name: str, *,
-                  injector: str, structure: "str | None", model: str,
-                  n: int, seed: int, hardened: bool, prefer_live: bool,
-                  use_cache: bool, population: "float | None",
-                  fastpath: "bool | None", planner: "str | None" = None,
-                  target_margin: "float | None" = None,
-                  batch: "int | None" = None) -> CampaignResult:
-    """Run (or load) one campaign whose runs *sample* chooses.
+def run_enveloped(sample, spec: CampaignSpec,
+                  options: RunOptions) -> CampaignResult:
+    """Run (or load) the campaign *spec* names, choosing its runs with
+    *sample*.
 
     Everything but the choice of runs is shared by every sampling
-    strategy: the cache key and lookup, golden data, the occupancy
-    weight, the :class:`CampaignResult`, its ``campaign_summary`` and
-    metrics records, and the sidecars.  *sample* is called as
-    ``sample(golden, target, weight, task, path, events, registry)``
-    — ``task(run)`` builds the :func:`run_task` tuple of one run —
-    and returns ``(results, plan, checkpoint_dir)``: the ``plan``
-    record (``None`` for naive campaigns) and the shard checkpoints
-    to clear once the sidecar is written (``None`` for none).
+    strategy: the cache lookup, golden data, the occupancy weight, the
+    :class:`CampaignResult`, its ``campaign_summary`` and metrics
+    records, and the sidecars.  *sample* is called as
+    ``sample(golden, weight, task, path, events, registry)`` —
+    ``task(run)`` builds the :func:`run_task` tuple of one run — and
+    returns ``(results, plan, checkpoint_dir)``: the ``plan`` record
+    (``None`` for naive campaigns) and the shard checkpoints to clear
+    once the sidecar is written (``None`` for none).
     """
-    from ..uarch.snapshot import fastpath_enabled
-
-    path = _campaign_path(_campaign_meta(
-        injector, workload, config_name, structure, model, n, seed,
-        hardened, prefer_live, planner, target_margin, batch))
-    if use_cache:
+    path = spec.path()
+    if options.use_cache:
         campaign = load_cached_campaign(path)
         if campaign is not None:
-            if population is not None:
-                campaign.population = population
             _write_profile_sidecar(campaign, path)
             return campaign
 
-    use_fastpath = fastpath_enabled(fastpath)
-    golden = prepare_golden(injector, workload, config_name, hardened,
-                            use_fastpath)
-    target = (structure if injector == "gefin"
-              else model if injector == "pvf" else None)
-    weight = (golden.occupancy.get(structure, 1.0)
-              if injector == "gefin" and prefer_live else 1.0)
+    golden = golden_run(spec.workload, spec.config,
+                        hardened=spec.hardened)
+    if options.fastpath:
+        # the checkpoint store on disk before any worker forks, so that
+        # every worker loads it instead of re-running the capture run
+        checkpoint_store(spec.workload, spec.config,
+                         engine=_FASTPATH_ENGINES[spec.injector],
+                         hardened=spec.hardened)
+    weight = (golden.occupancy.get(spec.structure, 1.0)
+              if spec.injector == "gefin" and spec.prefer_live else 1.0)
 
     def task(run) -> tuple:
-        return (injector, workload, config_name, target, seed, run,
-                hardened, prefer_live, use_fastpath)
+        return (spec.injector, spec.workload, spec.config, spec.target,
+                spec.seed, run, spec.hardened, spec.prefer_live,
+                options.fastpath)
 
     events = EventLog.resolve(default=cache_dir() / "events.jsonl")
     # The process-wide default, so serial-path pipeline metrics land in
     # the same snapshot as the campaign/engine series.
     registry = get_registry()
     wall_started = time.monotonic()
-    results, plan, checkpoint_dir = sample(golden, target, weight, task,
-                                           path, events, registry)
+    results, plan, checkpoint_dir = sample(golden, weight, task, path,
+                                           events, registry)
     elapsed = time.monotonic() - wall_started
 
     campaign = CampaignResult(
-        injector=injector, workload=workload, config_name=config_name,
-        n=n, seed=seed,
-        structure=structure if injector == "gefin" else None,
-        model=model if injector == "pvf" else None,
-        hardened=hardened, occupancy_weight=weight,
-        population=population,
-        t_max=(golden.cycles if injector == "gefin"
+        injector=spec.injector, workload=spec.workload,
+        config_name=spec.config, n=spec.n, seed=spec.seed,
+        structure=spec.structure, model=spec.model,
+        hardened=spec.hardened, occupancy_weight=weight,
+        t_max=(golden.cycles if spec.injector == "gefin"
                else float(max(1, golden.instructions))),
         results=results, plan=plan,
     )
@@ -579,7 +632,7 @@ def run_enveloped(sample, workload: str, config_name: str, *,
         # used for cache scans and resume
         atomic_write_text(cache_dir() / f"metrics-{path.stem}.json",
                           json.dumps(snapshot, indent=2))
-    if use_cache:
+    if options.use_cache:
         atomic_write_text(path, json.dumps(campaign.to_json()))
         clear_checkpoints(checkpoint_dir)
     _write_profile_sidecar(campaign, path)
@@ -592,9 +645,7 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
                  hardened: bool = False, prefer_live: bool = True,
                  use_cache: bool = True,
                  workers: int | None = None,
-                 population: float | None = None,
                  progress: bool | None = None,
-                 shard_size: int | None = None,
                  fastpath: bool | None = None,
                  planner: str | None = None,
                  target_margin: float | None = None,
@@ -607,106 +658,70 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
     the abstraction layer (``gefin`` = microarchitectural AVF/HVF,
     ``pvf`` = architecture level, ``svf`` = LLFI-style software
     level); *structure* is required for ``gefin``; *model* selects the
-    PVF fault-propagation model.  Every campaign, planned or not, is
-    keyed by one cache-key function; :func:`campaign_cache_path`
-    gives its sidecar path from the same axes.
+    PVF fault-propagation model.  The arguments that can change the
+    result build a :class:`CampaignSpec` (the cache key), the rest a
+    :class:`RunOptions`, where each ``None`` defers to the
+    environment (``REPRO_WORKERS``, ``REPRO_PROGRESS``,
+    ``REPRO_FASTPATH``, ``REPRO_BATCH``).
 
-    Execution goes through the sharded engine
-    (:mod:`repro.injectors.engine`): runs are split into
-    deterministic shards, a crashed/raising worker re-runs only its
-    shard, completed shards are checkpointed atomically under the
-    cache directory, and an interrupted campaign resumes from its
-    checkpoints on the next invocation — aggregating to the same
-    bytes as an uninterrupted run, since every run is deterministic
-    in ``(seed, index)``.  *population* is the campaign's
-    fault-population size for finite-population error margins;
-    *progress* forces the live stderr progress line on/off
-    (``None`` defers to ``REPRO_PROGRESS``); *shard_size* overrides
-    the deterministic shard split (testing/tuning only — changing it
-    orphans existing checkpoints).
-
-    *fastpath* selects the golden-fork checkpoint fast path for every
-    run (``None`` defers to ``REPRO_FASTPATH``, on by default).  The
-    fast path is byte-identical to the slow path — it is deliberately
-    NOT part of the cache key, and the differential suite in
-    ``tests/test_snapshot_equivalence.py`` holds it to that.
-
-    *planner* selects the sampling strategy: ``None``/``"naive"`` is
-    the fixed-``n`` design above; ``"two-level"`` delegates to
-    :func:`repro.core.planner.run_planned_campaign`, which partitions
-    the fault population into equivalence classes and stops the cell
-    once its Wilson interval is inside *target_margin* — ``n`` then
-    acts as the naive-equivalent budget (the hard cap).
-
-    *batch_lanes* (``--batch-lanes``; ``None`` defers to
-    ``REPRO_BATCH``, off by default) packs pvf/svf runs into the
-    bit-parallel batched engine (:mod:`repro.uarch.batch`), up to 64
-    lanes per batch.  Like the fast path it is byte-identical to the
-    scalar path and deliberately NOT part of the cache key
-    (``tests/test_batch_equivalence.py`` holds it to that); gefin
-    campaigns fall back to scalar execution with a
-    ``batch_fallback`` event.
-
-    *cancel* (a :class:`threading.Event`) requests cooperative
-    cancellation: the sharded engine checks it at shard boundaries
-    (a planned campaign's at batch boundaries) and raises
-    :class:`~repro.injectors.engine.ExecutionCancelled`, leaving the
-    completed-shard checkpoints in place (and the sidecar unwritten)
-    so a later identical call resumes byte-identically.
+    Runs go through the sharded engine (:mod:`repro.injectors.engine`):
+    deterministic shards, per-shard retry, and atomic shard
+    checkpoints from which an interrupted campaign resumes to the same
+    bytes.  *planner* ``"two-level"`` delegates to
+    :func:`repro.core.planner.run_planned_campaign`, which stops the
+    cell once its Wilson interval is inside *target_margin*, with
+    ``n`` as the budget.  *batch_lanes* packs pvf/svf runs into the
+    bit-parallel engine (:mod:`repro.uarch.batch`); gefin campaigns
+    fall back to scalar runs with a ``batch_fallback`` event.
+    *cancel* stops the campaign at a shard (planned: batch) boundary
+    with :class:`~repro.injectors.engine.ExecutionCancelled`, leaving
+    the shard checkpoints for a byte-identical resume.
     """
-    if planner == "two-level":
-        from ..core.planner import (DEFAULT_BATCH,
-                                    DEFAULT_TARGET_MARGIN,
-                                    run_planned_campaign)
+    spec = CampaignSpec(
+        workload=workload, config=config, injector=injector,
+        structure=structure, model=model, n=n, seed=seed,
+        hardened=hardened, prefer_live=prefer_live, planner=planner,
+        target_margin=target_margin, batch=batch)
+    options = RunOptions.resolve(
+        n, use_cache=use_cache, workers=workers, progress=progress,
+        fastpath=fastpath, batch_lanes=batch_lanes, cancel=cancel)
+    if spec.planner is not None:
+        from ..core.planner import run_planned_campaign
 
-        return run_planned_campaign(
-            workload, config, injector=injector, structure=structure,
-            model=model, n=n, seed=seed,
-            target_margin=(target_margin if target_margin is not None
-                           else DEFAULT_TARGET_MARGIN),
-            batch=batch if batch is not None else DEFAULT_BATCH,
-            hardened=hardened, prefer_live=prefer_live,
-            use_cache=use_cache, workers=workers,
-            population=population, progress=progress,
-            fastpath=fastpath, cancel=cancel)
-    config_name = config if isinstance(config, str) else config.name
+        return run_planned_campaign(spec, options)
+    lanes = options.batch_lanes
 
-    def sample(golden, target, weight, task, path, events, registry):
-        from ..uarch.batch import resolve_batch_lanes
-
-        lanes = resolve_batch_lanes(batch_lanes)
+    def sample(golden, weight, task, path, events, registry):
         lane_groups = None
-        if lanes >= 2 and injector in ("pvf", "svf") and n:
+        if lanes >= 2 and spec.injector in ("pvf", "svf") and spec.n:
             from .batch import plan_lane_groups
 
             lane_groups = plan_lane_groups(
-                injector, n, lanes, workload=workload,
-                config_name=config_name, seed=seed, golden=golden,
-                model=target)
-        runs = range(n) if lane_groups is None else lane_groups
+                spec.injector, spec.n, lanes, workload=spec.workload,
+                config_name=spec.config, seed=spec.seed, golden=golden,
+                model=spec.target)
+        runs = range(spec.n) if lane_groups is None else lane_groups
         tasks = [task(run) for run in runs]
         worker = run_task if lane_groups is None else _one_batch
 
-        n_workers = (workers if workers is not None
-                     else default_workers(n))
-        label = (f"{injector}:{workload}@{config_name}"
-                 + (f"/{target}" if target else ""))
+        label = (f"{spec.injector}:{spec.workload}@{spec.config}"
+                 + (f"/{spec.target}" if spec.target else ""))
         reporter = (ProgressReporter(len(tasks), label=label)
-                    if progress_enabled(progress) else None)
-        if lanes >= 2 and injector == "gefin":
+                    if options.progress else None)
+        if lanes >= 2 and spec.injector == "gefin":
             # the pipeline engine has no batched mode; record the
             # fallback
             if registry.enabled:
                 registry.counter(BATCH_FALLBACKS).inc()
             events.emit("batch_fallback", campaign=path.stem,
-                        injector=injector, lanes=lanes)
+                        injector=spec.injector, lanes=lanes)
         # Batched shards carry a lane group per task, so their
         # checkpoint layout is incompatible with scalar shards of the
         # same campaign: keep them in a distinct directory.
         stem = (path.stem if lane_groups is None
                 else f"{path.stem}-l{lanes}")
         checkpoint_dir = (cache_dir() / "shards" / stem
-                          if use_cache else None)
+                          if options.use_cache else None)
         if lane_groups is None:
             encode = asdict
             decode = _decode_one
@@ -716,7 +731,7 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
             decode = _decode_many
             outcome_key = None
         results = run_sharded(
-            worker, tasks, workers=n_workers, shard_size=shard_size,
+            worker, tasks, workers=options.workers,
             checkpoint_dir=checkpoint_dir,
             encode=encode,
             decode=decode,
@@ -725,19 +740,15 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
             label=path.stem,
             metrics=registry if registry.enabled else None,
             repro_dir=cache_dir() / "repros",
-            stop_event=cancel)
+            stop_event=options.cancel)
         if lane_groups is not None:
             # flatten lane groups back into campaign index order;
             # results are then bit-for-bit the scalar campaign's
-            flat = [None] * n
+            flat = [None] * spec.n
             for group, group_results in zip(lane_groups, results):
                 for index, result in zip(group, group_results):
                     flat[index] = result
             results = flat
         return results, None, checkpoint_dir
 
-    return run_enveloped(
-        sample, workload, config_name, injector=injector,
-        structure=structure, model=model, n=n, seed=seed,
-        hardened=hardened, prefer_live=prefer_live, use_cache=use_cache,
-        population=population, fastpath=fastpath, planner=planner)
+    return run_enveloped(sample, spec, options)

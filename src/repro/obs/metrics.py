@@ -33,6 +33,19 @@ import time
 from contextlib import contextmanager
 
 _TRUTHY = {"1", "yes", "true", "on"}
+_FALSY = {"0", "no", "false", "off", ""}
+
+
+def env_flag(name: str, default: bool) -> bool:
+    """The on/off switch in environment variable *name*: ``1``/
+    ``yes``/``true``/``on`` or ``0``/``no``/``false``/``off``/empty,
+    in any case; unset or any other value leaves *default*."""
+    value = os.environ.get(name)
+    if value is None:
+        return default
+    value = value.strip().lower()
+    return value in _TRUTHY or (default and value not in _FALSY)
+
 
 #: visibility-latency histogram edges, in simulated cycles
 LATENCY_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
@@ -66,8 +79,7 @@ def metrics_enabled(explicit: "bool | None" = None) -> bool:
     """Resolve the metrics switch: argument > ``REPRO_METRICS`` > off."""
     if explicit is not None:
         return explicit
-    env = os.environ.get("REPRO_METRICS", "")
-    return env.strip().lower() in _TRUTHY
+    return env_flag("REPRO_METRICS", False)
 
 
 # ---------------------------------------------------------------------------

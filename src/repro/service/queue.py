@@ -40,7 +40,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..injectors.engine import atomic_write_text
@@ -81,13 +81,6 @@ TRANSITIONS = {
 GEFIN_STRUCTURES = ("RF", "LSQ", "L1I", "L1D", "L2")
 PVF_MODELS = ("WD", "WOI", "WI")
 
-#: the request keys: exactly the campaign axes
-#: :func:`~repro.injectors.campaign.run_campaign` and
-#: :func:`~repro.injectors.campaign.campaign_cache_path` take
-CAMPAIGN_AXES = ("workload", "config", "injector", "structure", "model",
-                 "n", "seed", "hardened", "prefer_live", "planner",
-                 "target_margin", "batch")
-
 #: per-job run ceiling: a single submission may not book more than
 #: this many injections (service-level sanity cap, not a statistics
 #: statement)
@@ -120,14 +113,16 @@ def canonical_request(raw: dict) -> dict:
     same bytes: defaults are filled in, axes that do not apply to the
     chosen injector are nulled out (a gefin request's ``model`` must
     not change the digest), and unknown keys are rejected rather than
-    silently dropped.
+    silently dropped.  The keys are the fields of
+    :class:`~repro.injectors.campaign.CampaignSpec`, which does the
+    nulling.
     """
-    from ..injectors.campaign import INJECTORS, check_injector
+    from ..injectors.campaign import INJECTORS, CampaignSpec
     from ..workloads.suite import WORKLOAD_NAMES
 
     if not isinstance(raw, dict):
         raise InvalidRequest("request body must be a JSON object")
-    unknown = set(raw) - set(CAMPAIGN_AXES)
+    unknown = set(raw) - {f.name for f in fields(CampaignSpec)}
     if unknown:
         raise InvalidRequest(
             f"unknown request keys: {sorted(unknown)}")
@@ -150,18 +145,13 @@ def canonical_request(raw: dict) -> dict:
         config_by_name(config)
     except (KeyError, ValueError, TypeError):
         raise InvalidRequest(f"unknown config {config!r}") from None
-    try:
-        check_injector(injector, config)
-    except ValueError as exc:
-        raise InvalidRequest(str(exc)) from None
 
-    structure = raw.get("structure", "RF") if injector == "gefin" \
-        else None
+    structure = raw.get("structure", "RF")
     if injector == "gefin" and structure not in GEFIN_STRUCTURES:
         raise InvalidRequest(
             f"unknown structure {structure!r} (expected one of "
             f"{list(GEFIN_STRUCTURES)})")
-    model = raw.get("model", "WD") if injector == "pvf" else None
+    model = raw.get("model", "WD")
     if injector == "pvf" and model not in PVF_MODELS:
         raise InvalidRequest(
             f"unknown model {model!r} (expected one of "
@@ -185,36 +175,31 @@ def canonical_request(raw: dict) -> dict:
                                  f"got {value!r}")
 
     planner = raw.get("planner")
-    if planner in ("naive", ""):
+    if planner == "":
         planner = None
-    if planner not in (None, "two-level"):
-        raise InvalidRequest(f"unknown planner {planner!r}")
-    target_margin = raw.get("target_margin") if planner else None
-    if target_margin is not None and not (
-            isinstance(target_margin, (int, float))
-            and 0 < target_margin < 1):
-        raise InvalidRequest("target_margin must be in (0, 1), "
-                             f"got {target_margin!r}")
-    batch = raw.get("batch") if planner else None
-    if batch is not None and (not isinstance(batch, int)
-                              or isinstance(batch, bool) or batch < 1):
-        raise InvalidRequest(f"batch must be a positive integer, "
-                             f"got {batch!r}")
+    target_margin = raw.get("target_margin")
+    batch = raw.get("batch")
+    if planner == "two-level":
+        if target_margin is not None and not (
+                isinstance(target_margin, (int, float))
+                and 0 < target_margin < 1):
+            raise InvalidRequest("target_margin must be in (0, 1), "
+                                 f"got {target_margin!r}")
+        if batch is not None and (not isinstance(batch, int)
+                                  or isinstance(batch, bool)
+                                  or batch < 1):
+            raise InvalidRequest(f"batch must be a positive integer, "
+                                 f"got {batch!r}")
 
-    return {
-        "workload": workload,
-        "config": config,
-        "injector": injector,
-        "structure": structure,
-        "model": model,
-        "n": n,
-        "seed": seed,
-        "hardened": hardened,
-        "prefer_live": prefer_live,
-        "planner": planner,
-        "target_margin": target_margin,
-        "batch": batch,
-    }
+    try:
+        spec = CampaignSpec(
+            workload=workload, config=config, injector=injector,
+            structure=structure, model=model, n=n, seed=seed,
+            hardened=hardened, prefer_live=prefer_live,
+            planner=planner, target_margin=target_margin, batch=batch)
+    except ValueError as exc:
+        raise InvalidRequest(str(exc)) from None
+    return asdict(spec)
 
 
 def request_digest(request: dict) -> str:
@@ -234,13 +219,6 @@ def request_label(request: dict) -> str:
             + ("+ft" if request.get("hardened") else ""))
 
 
-def campaign_kwargs(request: dict) -> dict:
-    """The keyword arguments a canonical request names, for
-    :func:`~repro.injectors.campaign.run_campaign` and
-    :func:`~repro.injectors.campaign.campaign_cache_path` alike."""
-    return {axis: request[axis] for axis in CAMPAIGN_AXES}
-
-
 def cached_sidecar(request: dict) -> "Path | None":
     """The fresh ``campaign-*.json`` sidecar for *request*, if any.
 
@@ -248,10 +226,9 @@ def cached_sidecar(request: dict) -> "Path | None":
     uses, through the loader it uses: a hit means the service can
     answer without simulating.
     """
-    from ..injectors.campaign import (campaign_cache_path,
-                                      load_cached_campaign)
+    from ..injectors.campaign import CampaignSpec, load_cached_campaign
 
-    path = Path(campaign_cache_path(**campaign_kwargs(request)))
+    path = CampaignSpec(**request).path()
     return path if load_cached_campaign(path) is not None else None
 
 

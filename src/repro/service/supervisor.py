@@ -32,7 +32,7 @@ import time
 
 from ..injectors.engine import ExecutionCancelled, _backoff
 from ..uarch.exceptions import ContainmentError
-from .queue import JobQueue, campaign_kwargs
+from .queue import JobQueue
 
 __all__ = ["Supervisor", "run_job_campaign"]
 
@@ -48,16 +48,16 @@ def run_job_campaign(request: dict, *, cancel=None,
     """
     from ..injectors.campaign import run_campaign
 
-    campaign = run_campaign(**campaign_kwargs(request), workers=workers,
-                            progress=False, cancel=cancel)
+    campaign = run_campaign(**request, workers=workers, progress=False,
+                            cancel=cancel)
     return job_campaign_stem(request), campaign
 
 
 def job_campaign_stem(request: dict) -> str:
     """The sidecar stem a job will write, known before it runs."""
-    from ..injectors.campaign import campaign_cache_path
+    from ..injectors.campaign import CampaignSpec
 
-    return campaign_cache_path(**campaign_kwargs(request)).stem
+    return CampaignSpec(**request).path().stem
 
 
 class _Active:

@@ -10,9 +10,17 @@ new workload image) re-records the names below.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.injectors.campaign import campaign_cache_path
+from repro.injectors.campaign import CampaignSpec, run_campaign
+from repro.uarch.config import CORTEX_A72
+
+#: the tracked warm cache the benches and figures read
+WARM_CACHE = Path(__file__).resolve().parents[1] / ".repro-cache"
 
 PINNED = [
     (dict(workload="sha", injector="gefin", structure="RF", n=40,
@@ -45,20 +53,65 @@ PINNED = [
 @pytest.mark.parametrize("axes,name", PINNED,
                          ids=[name for _, name in PINNED])
 def test_sidecar_name_pinned(axes, name):
-    axes = dict(axes)
-    workload = axes.pop("workload")
-    assert campaign_cache_path(workload, "cortex-a72",
-                               **axes).name == name
+    assert CampaignSpec(config="cortex-a72", **axes).path().name == name
 
 
 def test_naive_planner_is_the_naive_key():
     axes = dict(injector="svf", n=16, seed=5)
-    assert campaign_cache_path("crc32", "cortex-a72", planner="naive",
-                               **axes) == \
-        campaign_cache_path("crc32", "cortex-a72", **axes)
+    assert CampaignSpec("crc32", "cortex-a72", planner="naive",
+                        **axes).path() == \
+        CampaignSpec("crc32", "cortex-a72", **axes).path()
 
 
 def test_unknown_planner_rejected():
     with pytest.raises(ValueError):
-        campaign_cache_path("crc32", "cortex-a72", injector="svf",
-                            planner="bogus")
+        CampaignSpec("crc32", "cortex-a72", injector="svf",
+                     planner="bogus")
+
+
+def test_warm_cache_sidecars_rederive_their_names():
+    """Every tracked sidecar names itself: rebuilding its spec from
+    its own contents gives back its file name.  Sidecars do not record
+    ``prefer_live``, so either value may match; a planned sidecar's
+    ``plan`` record supplies its margin and batch."""
+    sidecars = sorted(WARM_CACHE.glob("campaign-*.json"))
+    assert sidecars
+    orphans = []
+    for path in sidecars:
+        data = json.loads(path.read_text())
+        plan = data["plan"] or {}
+        names = {CampaignSpec(
+            workload=data["workload"], config=data["config_name"],
+            injector=data["injector"], structure=data["structure"],
+            model=data["model"], n=data["n"], seed=data["seed"],
+            hardened=data["hardened"], prefer_live=prefer_live,
+            planner=plan.get("planner"),
+            target_margin=plan.get("target_margin"),
+            batch=plan.get("batch")).path().name
+            for prefer_live in (True, False)}
+        if path.name not in names:
+            orphans.append(path.name)
+    assert orphans == []
+
+
+def test_spec_normalises_ignored_axes():
+    assert CampaignSpec("crc32", "cortex-a72", injector="svf",
+                        structure="RF", model="WI", target_margin=0.3,
+                        batch=4) == \
+        CampaignSpec("crc32", "cortex-a72", injector="svf")
+    spec = CampaignSpec("crc32", CORTEX_A72, structure="RF",
+                        planner="naive")
+    assert (spec.config, spec.model, spec.planner) == \
+        ("cortex-a72", None, None)
+
+
+def test_custom_core_under_a_registered_name_rejected():
+    """A campaign keeps only its core's name, so a modified core under
+    a registered name would run and cache the registered one."""
+    half_rob = dataclasses.replace(CORTEX_A72,
+                                   rob_size=CORTEX_A72.rob_size // 2)
+    with pytest.raises(ValueError, match="cortex-a72"):
+        CampaignSpec("crc32", half_rob, injector="svf")
+    with pytest.raises(ValueError, match="cortex-a72"):
+        run_campaign("crc32", half_rob, injector="svf", n=2,
+                     use_cache=False)

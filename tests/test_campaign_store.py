@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.injectors.campaign import _campaign_path, run_campaign
+from repro.injectors.campaign import CampaignSpec, run_campaign
 from repro.injectors.golden import cache_dir, workload_digest
 
 
@@ -20,10 +20,10 @@ class TestCacheKeys:
             workload_digest("sha", "mrisc64", False)
 
     def test_campaign_paths_distinct(self):
-        p1 = _campaign_path(("svf", "sha", "cortex-a72", 10, 1, False,
-                             "abc"))
-        p2 = _campaign_path(("svf", "sha", "cortex-a72", 10, 2, False,
-                             "abc"))
+        p1 = CampaignSpec("sha", "cortex-a72", injector="svf", n=10,
+                          seed=1).path()
+        p2 = CampaignSpec("sha", "cortex-a72", injector="svf", n=10,
+                          seed=2).path()
         assert p1 != p2
         assert str(p1).startswith(str(cache_dir()))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 
@@ -65,6 +66,26 @@ class TestCommands:
                      "-n", "10"]) == 0
         out = capsys.readouterr().out
         assert "svf:crc32" in out and "crashes" in out
+
+    @pytest.mark.parametrize("target,met", [("0.2", False),
+                                            ("0.5", True)])
+    def test_campaign_planner_line_tells_whether_margin_met(
+            self, capsys, target, met):
+        """Budget 16 ends svf/crc32 at margin 0.2303: above a 0.2
+        target (the budget ran out first), below a 0.5 one."""
+        assert main(["campaign", "crc32", "--injector", "svf",
+                     "-n", "16", "--no-cache", "--planner", "two-level",
+                     "--target-margin", target]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("planner  :"))
+        match = re.search(r"margin (\S+) (<=|>) (\S+)"
+                          r"( \(budget exhausted\))?$", line)
+        assert match, line
+        attained, op, wanted, exhausted = match.groups()
+        assert float(wanted) == float(target)
+        assert (float(attained) <= float(wanted)) is met
+        assert op == ("<=" if met else ">")
+        assert bool(exhausted) is not met
 
     def test_campaign_gefin_reports_fpm(self, capsys):
         assert main(["campaign", "crc32", "--structure", "RF",

@@ -181,7 +181,15 @@ class TestRunSharded:
 # campaign-level resume: byte-identical aggregates
 # ---------------------------------------------------------------------------
 class TestCampaignResume:
-    ARGS = dict(injector="svf", n=8, seed=4242, workers=1, shard_size=2)
+    ARGS = dict(injector="svf", n=8, seed=4242, workers=1)
+
+    @pytest.fixture(autouse=True)
+    def _two_run_shards(self, monkeypatch):
+        """Shards of two runs each, so a campaign has several."""
+        from repro.injectors import engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "default_shard_size",
+                            lambda n: 2)
 
     def _campaign_files(self, seed):
         out = []
@@ -247,7 +255,7 @@ class TestCampaignResume:
 
     def test_checkpoints_removed_after_success(self):
         run_campaign("crc32", "cortex-a72", injector="svf", n=6,
-                     seed=515, workers=1, shard_size=2)
+                     seed=515, workers=1)
         final = self._campaign_file(515)
         assert not (cache_dir() / "shards" / final.stem).exists()
 

@@ -21,7 +21,6 @@ from repro.core.planner import (
     enumerate_stream,
     partition_classes,
     planner_table,
-    run_planned_campaign,
 )
 from repro.faults.sampling import wilson_interval
 from repro.injectors import golden as golden_mod
@@ -114,17 +113,17 @@ class TestPlannedCampaign:
     def test_sidecar_byte_stable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         kwargs = dict(structure="RF", n=self.N, seed=1,
-                      target_margin=0.1)
-        run_planned_campaign(WORKLOAD, CONFIG, **kwargs)
+                      planner="two-level", target_margin=0.1)
+        run_campaign(WORKLOAD, CONFIG, **kwargs)
         path = sorted(tmp_path.glob("campaign-planned-*.json"))[0]
         first = path.read_bytes()
         path.unlink()
         # recompute (parallel this time) — must rewrite the same bytes
-        run_planned_campaign(WORKLOAD, CONFIG, workers=2, **kwargs)
+        run_campaign(WORKLOAD, CONFIG, workers=2, **kwargs)
         assert path.read_bytes() == first
         # and a cache hit must not rewrite anything
         before = path.stat().st_mtime_ns
-        cached = run_planned_campaign(WORKLOAD, CONFIG, **kwargs)
+        cached = run_campaign(WORKLOAD, CONFIG, **kwargs)
         assert path.stat().st_mtime_ns == before
         assert cached.plan is not None
 
@@ -135,9 +134,9 @@ class TestPlannedCampaign:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         naive = run_campaign(WORKLOAD, CONFIG, structure="RF",
                              n=self.N, seed=1)
-        planned = run_planned_campaign(WORKLOAD, CONFIG,
-                                       structure="RF", n=self.N,
-                                       seed=1, target_margin=0.1)
+        planned = run_campaign(WORKLOAD, CONFIG, structure="RF",
+                               n=self.N, seed=1, planner="two-level",
+                               target_margin=0.1)
         pool = [(r.outcome, r.vulnerable) for r in naive.results]
         for result in planned.results:
             pool.remove((result.outcome, result.vulnerable))
@@ -149,9 +148,9 @@ class TestPlannedCampaign:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         naive = run_campaign(WORKLOAD, CONFIG, structure="RF",
                              n=self.N, seed=1)
-        planned = run_planned_campaign(WORKLOAD, CONFIG,
-                                       structure="RF", n=self.N,
-                                       seed=1, target_margin=1e-9)
+        planned = run_campaign(WORKLOAD, CONFIG, structure="RF",
+                               n=self.N, seed=1, planner="two-level",
+                               target_margin=1e-9)
         assert planned.plan["actual_n"] == self.N
         assert not planned.plan["stopped_early"]
         assert planned.plan["estimate"] == pytest.approx(
@@ -166,9 +165,9 @@ class TestPlannedCampaign:
         low, high = wilson_interval(vulnerable, self.N,
                                     confidence=0.99)
         weight = naive.occupancy_weight
-        planned = run_planned_campaign(WORKLOAD, CONFIG,
-                                       structure="RF", n=self.N,
-                                       seed=1, target_margin=0.05)
+        planned = run_campaign(WORKLOAD, CONFIG, structure="RF",
+                               n=self.N, seed=1, planner="two-level",
+                               target_margin=0.05)
         assert weight * low <= planned.plan["estimate"] \
             <= weight * high
 
@@ -176,8 +175,9 @@ class TestPlannedCampaign:
         """Looser targets can never cost more injections."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         spent = [
-            run_planned_campaign(
+            run_campaign(
                 WORKLOAD, CONFIG, structure="RF", n=self.N, seed=1,
+                planner="two-level",
                 target_margin=margin).plan["actual_n"]
             for margin in (0.02, 0.08, 0.3)]
         assert spent == sorted(spent, reverse=True)
@@ -188,9 +188,9 @@ class TestPlannedCampaign:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         naive = run_campaign(WORKLOAD, CONFIG, injector="svf",
                              n=24, seed=1)
-        planned = run_planned_campaign(WORKLOAD, CONFIG,
-                                       injector="svf", n=24, seed=1,
-                                       target_margin=0.2)
+        planned = run_campaign(WORKLOAD, CONFIG, injector="svf", n=24,
+                               seed=1, planner="two-level",
+                               target_margin=0.2)
         k = planned.plan["actual_n"]
         assert planned.results == naive.results[:k]
 
@@ -211,7 +211,7 @@ class TestPlannedCampaign:
         batch boundary, as it stops a naive one; no sidecar lands."""
         import threading
 
-        from repro.injectors.campaign import campaign_cache_path
+        from repro.injectors.campaign import CampaignSpec
         from repro.injectors.engine import ExecutionCancelled
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -221,8 +221,7 @@ class TestPlannedCampaign:
                       planner="two-level", target_margin=0.2)
         with pytest.raises(ExecutionCancelled):
             run_campaign(WORKLOAD, CONFIG, cancel=cancel, **kwargs)
-        assert not campaign_cache_path(WORKLOAD, CONFIG,
-                                       **kwargs).exists()
+        assert not CampaignSpec(WORKLOAD, CONFIG, **kwargs).path().exists()
 
     def test_schema_invalidates_stale_plan_sidecar(self, tmp_path,
                                                    monkeypatch):
@@ -230,8 +229,8 @@ class TestPlannedCampaign:
         different engine schema is stale even on the same path."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         kwargs = dict(structure="RF", n=self.N, seed=1,
-                      target_margin=0.1)
-        first = run_planned_campaign(WORKLOAD, CONFIG, **kwargs)
+                      planner="two-level", target_margin=0.1)
+        first = run_campaign(WORKLOAD, CONFIG, **kwargs)
         path = sorted(tmp_path.glob("campaign-planned-*.json"))[0]
         entry = json.loads(path.read_text())
         assert entry["schema"] == golden_mod.CACHE_SCHEMA_VERSION
@@ -240,7 +239,7 @@ class TestPlannedCampaign:
         entry["results"] = []
         entry["plan"] = None  # a stale hit would lose the plan
         path.write_text(json.dumps(entry))
-        again = run_planned_campaign(WORKLOAD, CONFIG, **kwargs)
+        again = run_campaign(WORKLOAD, CONFIG, **kwargs)
         assert again.to_json() == first.to_json()
         assert again.plan is not None
         fresh = json.loads(path.read_text())
@@ -249,7 +248,7 @@ class TestPlannedCampaign:
         # a schema bump moves the cache key: old entries miss
         monkeypatch.setattr(golden_mod, "CACHE_SCHEMA_VERSION",
                             golden_mod.CACHE_SCHEMA_VERSION + 1)
-        bumped = run_planned_campaign(WORKLOAD, CONFIG, **kwargs)
+        bumped = run_campaign(WORKLOAD, CONFIG, **kwargs)
         assert bumped.results == first.results
         assert len(sorted(
             tmp_path.glob("campaign-planned-*.json"))) == 2
@@ -258,9 +257,9 @@ class TestPlannedCampaign:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         naive = run_campaign(WORKLOAD, CONFIG, structure="RF",
                              n=self.N, seed=1)
-        planned = run_planned_campaign(WORKLOAD, CONFIG,
-                                       structure="RF", n=self.N,
-                                       seed=1, target_margin=0.1)
+        planned = run_campaign(WORKLOAD, CONFIG, structure="RF",
+                               n=self.N, seed=1, planner="two-level",
+                               target_margin=0.1)
         rows = planner_table([naive, planned])
         assert len(rows) == 1  # naive campaigns carry no plan
         row = rows[0]

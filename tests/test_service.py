@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -283,8 +282,7 @@ class TestSidecarDedup:
                                             monkeypatch):
         """A two-level request is keyed like a naive one: its
         existing sidecar answers the submission, born done."""
-        from repro.injectors.campaign import (campaign_cache_path,
-                                              run_campaign)
+        from repro.injectors.campaign import CampaignSpec, run_campaign
         from repro.service.supervisor import job_campaign_stem
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -292,7 +290,7 @@ class TestSidecarDedup:
                     target_margin=0.2)
         run_campaign("crc32", "cortex-a72", workers=1, progress=False,
                      **axes)
-        stem = campaign_cache_path("crc32", "cortex-a72", **axes).stem
+        stem = CampaignSpec("crc32", "cortex-a72", **axes).path().stem
         assert stem.startswith("campaign-planned-svf-crc32-")
 
         raw = _request(**axes)
@@ -510,11 +508,11 @@ class TestCrashRecovery:
         baseline = subprocess.run(
             [sys.executable, "-c",
              "from repro.injectors.campaign import run_campaign, "
-             "campaign_cache_path\n"
+             "CampaignSpec\n"
              "run_campaign('fft', 'cortex-a72', injector='svf', "
              "n=40, seed=7, workers=1, progress=False)\n"
-             "print(campaign_cache_path('fft', 'cortex-a72', "
-             "injector='svf', n=40, seed=7))"],
+             "print(CampaignSpec('fft', 'cortex-a72', "
+             "injector='svf', n=40, seed=7).path())"],
             env=self._env(baseline_cache), capture_output=True,
             text=True, timeout=120)
         assert baseline.returncode == 0, baseline.stderr
